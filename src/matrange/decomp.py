@@ -207,7 +207,7 @@ def _split_once(t: MatrixTuple, rng: np.random.Generator,
                 decomp_tol: float) -> Optional[list[np.ndarray]]:
     """Isometries onto the eigenspaces of one random Hermitian commutant
     element, or None if the tuple is irreducible."""
-    basis = commutant_basis(t)
+    basis = commutant_basis(t, decomp_tol)
     if len(basis) <= 1:
         return None
     herm = _hermitian_commutant_basis(basis)
@@ -247,7 +247,7 @@ def irreducible_decomposition(t: MatrixTuple, seed: int = 0,
     found, or the eigenspace recursion exceeding n levels).
     """
     rng = np.random.default_rng(seed)
-    bound = decomp_tol * max(1.0, frob(t.mats))
+    bound = _reassembly_bound(t, decomp_tol)
     for _ in range(2):
         dec = _decompose_once(t, rng, decomp_tol, equiv_tol)
         resid = dec.reassembly_residual()
@@ -258,9 +258,21 @@ def irreducible_decomposition(t: MatrixTuple, seed: int = 0,
         f"{bound:.3g} after a retry")
 
 
+def _reassembly_bound(t: MatrixTuple, decomp_tol: float) -> float:
+    return decomp_tol * max(1.0, frob(t.mats))
+
+
 def _decompose_once(t: MatrixTuple, rng: np.random.Generator,
                     decomp_tol: float, equiv_tol: float) -> BlockDecomposition:
-    """One unchecked pass of splitting and grouping, drawing from rng."""
+    """One unchecked pass of splitting and grouping, drawing from rng.
+
+    A block joins a class only when its unitary carries it onto the class
+    representative within the reassembly bound; blocks equivalent within
+    equiv_tol but farther apart than that are kept apart and listed in
+    marginal_pairs, as are those equivalent within MARGINAL_FACTOR *
+    equiv_tol.
+    """
+    bound = _reassembly_bound(t, decomp_tol)
     # worklist of (isometry from subspace into the base space, subtuple)
     work: list[tuple[np.ndarray, MatrixTuple, int]] = [(np.eye(t.n, dtype=complex), t, 0)]
     finals: list[tuple[np.ndarray, MatrixTuple]] = []
@@ -289,11 +301,12 @@ def _decompose_once(t: MatrixTuple, rng: np.random.Generator,
             if rep.n != blk.n:
                 continue
             u = unitary_equivalent(blk, rep, equiv_tol)
-            if u is not None:
+            if u is not None and frob(u.conj().T @ blk.mats @ u - rep.mats) <= bound:
                 cls["members"].append((v, u))
                 placed = True
                 break
-            if unitary_equivalent(blk, rep, equiv_tol * MARGINAL_FACTOR) is not None:
+            if u is not None or unitary_equivalent(
+                    blk, rep, equiv_tol * MARGINAL_FACTOR) is not None:
                 near.append(ci)
         if not placed:
             marginal.extend((ci, len(classes)) for ci in near)

@@ -15,6 +15,13 @@ Y* + t* I; t* < 0 yields, through the dual multipliers, a Farkas pair
 impossible for a feasible program.  |t*| is reported as the margin.  Every
 outcome re-validates through direct eigenvalue computation; a certificate
 that fails validation is a hard error.
+
+The iteration returns its best iterate, the one of lowest score
+max(rel_p, rel_d, rel_gap).  Near the boundary the Schur system turns
+ill-conditioned and the residuals grow again after that iterate, so the
+loop also ends, as SDPT3 does on lack of progress, once STALL_WINDOW
+iterates in a row have not lowered the best score; such a stalled run
+returns its best iterate unconverged.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from .matcore import frob, is_hermitian
 
 FEAS_TOL = 1e-7
 RANK_TOL = 1e-10
+# _ipm ends once this many iterates in a row have not lowered the best score
+STALL_WINDOW = 10
 
 STATUS_FEASIBLE = "feasible"
 STATUS_INFEASIBLE = "infeasible"
@@ -141,18 +150,23 @@ def _chol_with_jitter(Xb: np.ndarray):
     raise np.linalg.LinAlgError("matrix is not positive definite")
 
 
-def _step_length(X: list, dX: list) -> float:
-    """sup {a : X + a dX >= 0}, via eigenvalues of L^-1 dX L^-*."""
+def _factors(X: list) -> list:
+    """Cholesky factor of each block of side > 1, None for 1x1 blocks."""
+    return [None if Xb.shape[0] == 1 else _chol_with_jitter(Xb) for Xb in X]
+
+
+def _step_length(X: list, L: list, dX: list) -> float:
+    """sup {a : X + a dX >= 0}, via eigenvalues of L^-1 dX L^-*, where L
+    holds the factors of X from _factors."""
     alpha = np.inf
-    for Xb, Db in zip(X, dX):
-        if Xb.shape[0] == 1:
+    for Xb, Lb, Db in zip(X, L, dX):
+        if Lb is None:
             d = Db[0, 0].real
             if d < -1e-300:
                 alpha = min(alpha, -Xb[0, 0].real / d)
             continue
-        L = _chol_with_jitter(Xb)
-        t1 = sla.solve_triangular(L, Db, lower=True, check_finite=False)
-        S = sla.solve_triangular(L, t1.conj().T, lower=True,
+        t1 = sla.solve_triangular(Lb, Db, lower=True, check_finite=False)
+        S = sla.solve_triangular(Lb, t1.conj().T, lower=True,
                                  check_finite=False).conj().T
         lam = float(np.linalg.eigvalsh((S + S.conj().T) / 2.0)[0])
         if lam < -1e-14:
@@ -162,6 +176,17 @@ def _step_length(X: list, dX: list) -> float:
 
 @dataclass
 class IpmResult:
+    """One iterate of _ipm, which returns its best: the one of lowest score
+    max(rel_p, rel_d, rel_gap).
+
+    `iterations` is the index of the iterate.  On the returned one,
+    `iterations_run` is the number of iterates the loop evaluated and `stop`
+    says why the loop ended: "converged", "stalled" (STALL_WINDOW iterates
+    in a row without a lower score), "max_iter", "short_step" (even a
+    centering step was too short) or "factorization" (a Cholesky factor of
+    X, Z or the Schur complement could not be formed).
+    """
+
     X: list
     y: np.ndarray
     Z: list
@@ -172,6 +197,8 @@ class IpmResult:
     rel_gap: float
     iterations: int
     converged: bool
+    iterations_run: int = 0
+    stop: str = ""
 
 
 def _ipm(prog: BlockProgram, opts: SolveOptions,
@@ -195,6 +222,7 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
     y = np.zeros(m)
 
     best: Optional[IpmResult] = None
+    stop = "max_iter"
     eye = [np.eye(s, dtype=complex) for s in sizes]
     # constant flattened copies of the constraint rows, reused every iteration
     flatR = [np.ascontiguousarray(Fb.real).reshape(m, -1) for Fb in prog.F]
@@ -224,20 +252,23 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
             best = cur
         if rel_p <= opts.ipm_tol and rel_d <= opts.ipm_tol and rel_gap <= opts.ipm_tol:
             best = replace(cur, converged=True)
+            stop = "converged"
+            break
+        if it - best.iterations >= STALL_WINDOW:
+            stop = "stalled"
             break
 
+        # X and Z stay fixed through the iteration: factor each block once
         try:
-            Zinv = []
-            for Zb in Z:
-                if Zb.shape[0] == 1:
-                    Zinv.append(1.0 / Zb)
-                    continue
-                L = _chol_with_jitter(Zb)
-                Zinv.append(sla.cho_solve((L, True),
-                                          np.eye(Zb.shape[0], dtype=complex),
-                                          check_finite=False))
+            LX = _factors(X)
+            LZ = _factors(Z)
         except np.linalg.LinAlgError:
+            stop = "factorization"
             break
+        Zinv = [1.0 / Zb if Lb is None else
+                sla.cho_solve((Lb, True), np.eye(Zb.shape[0], dtype=complex),
+                              check_finite=False)
+                for Zb, Lb in zip(Z, LZ)]
 
         # Schur complement M[k,l] = Re tr(F_k X F_l Zinv); symmetric for
         # Hermitian data, positive definite for independent rows
@@ -257,6 +288,7 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
             except np.linalg.LinAlgError:
                 ridge *= 100.0
         else:
+            stop = "factorization"
             break
 
         def direction(Rc):
@@ -274,8 +306,8 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
         # predictor
         Rc_aff = [-Xb @ Zb for Xb, Zb in zip(X, Z)]
         dXa, dya, dZa = direction(Rc_aff)
-        ap = min(1.0, _step_length(X, dXa))
-        ad = min(1.0, _step_length(Z, dZa))
+        ap = min(1.0, _step_length(X, LX, dXa))
+        ad = min(1.0, _step_length(Z, LZ, dZa))
         mu_aff = _inner([Xb + ap * D for Xb, D in zip(X, dXa)],
                         [Zb + ad * D for Zb, D in zip(Z, dZa)]) / ntot
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8)) if mu > 0 else 0.1
@@ -285,22 +317,23 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
               for I, Xb, Zb, Da, Db in zip(eye, X, Z, dXa, dZa)]
         dX, dy, dZ = direction(Rc)
         tau = 0.95 if rel_gap > 1e-5 else 0.99
-        ap = min(1.0, tau * _step_length(X, dX))
-        ad = min(1.0, tau * _step_length(Z, dZ))
+        ap = min(1.0, tau * _step_length(X, LX, dX))
+        ad = min(1.0, tau * _step_length(Z, LZ, dZ))
         if min(ap, ad) < 1e-8:
             # fall back to a pure centering step before giving up
             Rc = [mu * I - Xb @ Zb for I, Xb, Zb in zip(eye, X, Z)]
             dX, dy, dZ = direction(Rc)
-            ap = min(1.0, 0.9 * _step_length(X, dX))
-            ad = min(1.0, 0.9 * _step_length(Z, dZ))
+            ap = min(1.0, 0.9 * _step_length(X, LX, dX))
+            ad = min(1.0, 0.9 * _step_length(Z, LZ, dZ))
             if min(ap, ad) < 1e-10:
+                stop = "short_step"
                 break
         X = _hermitize([Xb + ap * D for Xb, D in zip(X, dX)])
         Z = _hermitize([Zb + ad * D for Zb, D in zip(Z, dZ)])
         y = y + ad * dy
 
     assert best is not None
-    return best
+    return replace(best, iterations_run=it + 1, stop=stop)
 
 
 # ---------------------------------------------------------------------------

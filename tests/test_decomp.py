@@ -251,3 +251,27 @@ def test_decomposition_raises_when_retry_fails(monkeypatch, rng):
                         lambda *args: _corrupt(real_once(*args)))
     with pytest.raises(DegenerateSpectrumError):
         irreducible_decomposition(t, seed=7)
+
+
+def test_decompose_near_equivalent_pair_keeps_summands_apart():
+    # equivalent within equiv_tol, but one class of multiplicity 2 would
+    # miss the reassembly bound by an order of magnitude
+    a = MatrixTuple.from_mats([SX, SZ])
+    b = MatrixTuple.from_mats([SX + 1e-7 * np.diag([1.0, -1.0]), SZ])
+    t = direct_sum(a, b)
+    dec = irreducible_decomposition(t)
+    assert [(blk.n, m) for blk, m in dec.blocks] == [(2, 1), (2, 1)]
+    assert dec.marginal_pairs == ((0, 1),)
+    assert dec.reassembly_residual() <= _tol(t)
+
+
+def test_caller_decomp_tol_decides_reducibility():
+    # a Pauli pair and a point coupled by 1e-6: irreducible at the default
+    # decomp_tol, a direct sum of the two within 1e-4
+    mats = np.array(direct_sum(PAULI, MatrixTuple.scalar_point([2.0, 0.5])).mats)
+    mats[0, 0, 2] = mats[0, 2, 0] = 1e-6
+    t = MatrixTuple(mats)
+    assert [(b.n, m) for b, m in irreducible_decomposition(t).blocks] == [(3, 1)]
+    dec = irreducible_decomposition(t, decomp_tol=1e-4)
+    assert sorted((b.n, m) for b, m in dec.blocks) == [(1, 1), (2, 1)]
+    assert dec.reassembly_residual() <= 1e-4 * max(1.0, np.linalg.norm(t.mats))

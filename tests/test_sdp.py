@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from matrange import sdp
+from matrange.convexity import _choi_program, _shared_coords, build_frame
 from matrange.errors import CertificateError, DimensionError, IllConditionedError
+from matrange.matcore import MatrixTuple, compress
 from matrange.sdp import (
     BlockProgram,
+    SolveOptions,
     SdpOutcome,
     SdpProblem,
     detect_blocks,
@@ -13,7 +17,7 @@ from matrange.sdp import (
     solve_feasibility,
     verify_outcome,
 )
-from conftest import rand_herm
+from conftest import rand_herm, rand_isometry
 
 
 def test_hermitian_basis_orthonormal():
@@ -204,3 +208,50 @@ def test_solve_feasibility_no_rows():
                         b=np.zeros(0))
     r = solve_feasibility(prog)
     assert r.t_star == np.inf
+
+
+def _level3_choi_program(seed):
+    """Choi program of a level-3 In point V*(A (x) I_2)V against a random
+    14x14 Hermitian pair A of norm 1: side 42, 27 rows."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(2):
+        h = rand_herm(14, rng)
+        mats.append(h / np.linalg.norm(h, 2))
+    rng_t = MatrixTuple.from_mats(mats)
+    big = MatrixTuple.from_mats([np.kron(h, np.eye(2)) for h in mats])
+    point = compress(big, rand_isometry(28, 3, rng))
+    point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
+    frame = build_frame(range_coords, hermitian_input)
+    prog, _, _ = _choi_program(range_coords, point_coords, frame)
+    return prog
+
+
+def _assert_same_solve(a, b):
+    assert a.t_star == b.t_star
+    assert a.ipm.iterations == b.ipm.iterations
+    assert a.ipm.converged == b.ipm.converged
+    np.testing.assert_array_equal(a.farkas_y, b.farkas_y)
+    for xa, xb in zip(a.X, b.X):
+        np.testing.assert_array_equal(xa, xb)
+
+
+def test_stalled_choi_solve_stops_after_its_best_iterate(monkeypatch):
+    prog = _level3_choi_program(0)
+    r = solve_feasibility(prog)
+    assert r.ipm.stop == "stalled" and not r.ipm.converged
+    assert r.ipm.iterations_run <= r.ipm.iterations + 1 + sdp.STALL_WINDOW
+    monkeypatch.setattr(sdp, "STALL_WINDOW", SolveOptions().max_iter)
+    full = solve_feasibility(prog)
+    assert full.ipm.iterations_run > r.ipm.iterations_run
+    _assert_same_solve(r, full)
+
+
+def test_converged_solve_ignores_the_stall_window(monkeypatch):
+    prog = BlockProgram(sizes=(2,), F=[np.eye(2, dtype=complex)[None]],
+                        b=np.array([1.0]))
+    r = solve_feasibility(prog)
+    assert r.ipm.stop == "converged" and r.ipm.converged
+    assert r.ipm.iterations_run == r.ipm.iterations + 1
+    monkeypatch.setattr(sdp, "STALL_WINDOW", SolveOptions().max_iter)
+    _assert_same_solve(r, solve_feasibility(prog))
