@@ -255,7 +255,7 @@ def test_decomposition_raises_when_retry_fails(monkeypatch, rng):
 
 def test_decompose_near_equivalent_pair_keeps_summands_apart():
     # equivalent within equiv_tol, but one class of multiplicity 2 would
-    # miss the reassembly bound by an order of magnitude
+    # miss the reassembly bound about fivefold
     a = MatrixTuple.from_mats([SX, SZ])
     b = MatrixTuple.from_mats([SX + 1e-7 * np.diag([1.0, -1.0]), SZ])
     t = direct_sum(a, b)
