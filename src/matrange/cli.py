@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _jsonutil
 from .convexity import (
+    MARGINAL,
     membership,
     polytope_from_dict,
     separating_pencil,
@@ -151,7 +152,7 @@ def run(command: str, args: dict, config: RunConfig) -> tuple[int, dict]:
                                                load_tuple(args["point"]),
                                                feas_tol=config.feas_tol)
         except NotSeparableError as exc:
-            code = EXIT_MARGINAL if "marginal" in str(exc) else EXIT_NO
+            code = EXIT_MARGINAL if exc.status == MARGINAL else EXIT_NO
             return code, {"command": command, "status": "not_separable",
                           "message": str(exc)}
         return EXIT_YES, {"command": command, "status": "ok",

@@ -306,23 +306,17 @@ def _choi_program(range_coords: np.ndarray, point_coords: np.ndarray,
     shifted_point = [point_coords[j] - frame.center[j] * np.eye(m) for j in kept]
 
     comps = detect_blocks(shifted_range, n)
-    basis = hermitian_basis(m)
-    rows_per_block: list[list[np.ndarray]] = [[] for _ in comps]
-    bvals: list[float] = []
-    eye_m = np.eye(m)
-    for p, e in enumerate(basis):
-        for bi, idx in enumerate(comps):
-            rows_per_block[bi].append(np.kron(np.eye(len(idx)), e))
-        bvals.append(float(np.einsum("ij,ij->", e.conj(), eye_m).real))
-    for h, k in zip(shifted_range, shifted_point):
-        for e in basis:
-            for bi, idx in enumerate(comps):
-                rows_per_block[bi].append(np.kron(h[np.ix_(idx, idx)].T, e))
-            bvals.append(float(np.einsum("ij,ij->", e.conj(), k).real))
+    # row (j, p) of a component is C_j (x) E_p with C_0 = I and C_j = H_j^T
+    # restricted to the component, over the basis E_p of hermitian_basis(m)
+    coeffs = [np.eye(n)] + [h.T for h in shifted_range]
+    basis = np.stack(hermitian_basis(m))
+    targets = np.stack([np.eye(m)] + shifted_point)
     prog = BlockProgram(
         sizes=tuple(len(idx) * m for idx in comps),
-        F=[np.stack(rows) for rows in rows_per_block],
-        b=np.array(bvals),
+        F=[np.stack([c[np.ix_(idx, idx)] for c in coeffs]).astype(complex)
+           for idx in comps],
+        b=np.einsum("pac,jac->jp", basis.conj(), targets).real.ravel(),
+        levels=(m,) * len(comps),
     )
     return prog, comps, m
 
@@ -422,6 +416,10 @@ def validate_witness(cert: ChoiCertificate, range_coords: np.ndarray,
 def validate_separator(pencil: Pencil, range_tuple: MatrixTuple,
                        point: MatrixTuple, tol: float = VALIDATE_TOL
                        ) -> tuple[float, float]:
+    """Check lambda_max <= 1 + tol on the range and > 1 + FEAS_TOL at the
+    point, with the point above the range by more than FEAS_TOL times the
+    larger of 1 and the two values: a pencil near 1 on both separates
+    nothing."""
     on_range = pencil.max_eig(range_tuple)
     at_point = pencil.max_eig(point)
     if on_range > 1.0 + tol:
@@ -430,6 +428,11 @@ def validate_separator(pencil: Pencil, range_tuple: MatrixTuple,
     if at_point <= 1.0 + FEAS_TOL:
         raise CertificateError(
             f"separator does not violate at the point: lambda_max = {at_point}")
+    margin = FEAS_TOL * max(1.0, abs(on_range), abs(at_point))
+    if at_point - on_range <= margin:
+        raise CertificateError(
+            f"separator does not separate: lambda_max = {at_point} at the "
+            f"point against {on_range} on the range")
     return on_range, at_point
 
 
@@ -583,7 +586,7 @@ def separating_pencil(rng_t: MatrixTuple, point: MatrixTuple, *,
                          boundary=BOUNDARY_MARGINAL, solve_opts=solve_opts)
     if not verdict.is_out:
         raise NotSeparableError(
-            f"membership verdict is '{verdict.status}', not out")
+            f"membership verdict is '{verdict.status}', not out", verdict.status)
     return verdict.separator, verdict.separator_violation
 
 

@@ -122,17 +122,19 @@ def canonical_key(t: MatrixTuple, digits: int = 8) -> tuple:
 
 
 def unitary_equivalent(a: MatrixTuple, b: MatrixTuple,
-                       equiv_tol: float = EQUIV_TOL) -> Optional[np.ndarray]:
+                       equiv_tol: float = EQUIV_TOL,
+                       decomp_tol: float = DECOMP_TOL) -> Optional[np.ndarray]:
     """U with U* A_j U = B_j for all j, or None.
 
-    Both tuples must be irreducible; the intertwiner space {X : A_j X = X B_j}
-    is then 0- or 1-dimensional and a nonzero solution rescales to a unitary.
+    Both tuples must be irreducible at decomp_tol; the intertwiner space
+    {X : A_j X = X B_j} is then 0- or 1-dimensional and a nonzero solution
+    rescales to a unitary.
     """
     if a.d != b.d:
         raise DimensionError("unitary_equivalent needs tuples with equal d")
-    if not is_irreducible(a):
+    if not is_irreducible(a, decomp_tol):
         raise NonIrreducibleInputError("first tuple has commutant dimension > 1")
-    if not is_irreducible(b):
+    if not is_irreducible(b, decomp_tol):
         raise NonIrreducibleInputError("second tuple has commutant dimension > 1")
     if a.n != b.n:
         return None
@@ -300,13 +302,13 @@ def _decompose_once(t: MatrixTuple, rng: np.random.Generator,
             rep = cls["rep"]
             if rep.n != blk.n:
                 continue
-            u = unitary_equivalent(blk, rep, equiv_tol)
+            u = unitary_equivalent(blk, rep, equiv_tol, decomp_tol)
             if u is not None and frob(u.conj().T @ blk.mats @ u - rep.mats) <= bound:
                 cls["members"].append((v, u))
                 placed = True
                 break
             if u is not None or unitary_equivalent(
-                    blk, rep, equiv_tol * MARGINAL_FACTOR) is not None:
+                    blk, rep, equiv_tol * MARGINAL_FACTOR, decomp_tol) is not None:
                 near.append(ci)
         if not placed:
             marginal.extend((ci, len(classes)) for ci in near)

@@ -34,7 +34,12 @@ class CertificateError(MatrangeError):
 
 
 class NotSeparableError(MatrangeError):
-    """Separating pencil requested for a point that is not outside the range."""
+    """Separating pencil requested for a point that is not outside the range;
+    `status` is the membership verdict, "in" or "marginal"."""
+
+    def __init__(self, message, status):
+        super().__init__(message)
+        self.status = status
 
 
 class NoGapError(MatrangeError):

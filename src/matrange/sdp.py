@@ -16,6 +16,15 @@ impossible for a feasible program.  |t*| is reported as the margin.  Every
 outcome re-validates through direct eigenvalue computation; a certificate
 that fails validation is a hard error.
 
+A BlockProgram holds each block's rows in factored form, C_j (x) E_p with
+E_p running over hermitian_basis(m) for the block's level m, which is how
+Choi rows arise; the iteration contracts the Schur complement, A and A* on
+the factors and never forms dense rows (Fujisawa, Kojima and Nakata,
+"Exploiting sparsity in primal-dual interior-point methods for
+semidefinite programming", 1997).  Blocks of side 1 form one nonnegative
+diagonal block handled with vector operations, as SDPT3 handles linear
+blocks.
+
 The iteration returns its best iterate, the one of lowest score
 max(rel_p, rel_d, rel_gap).  Near the boundary the Schur system turns
 ill-conditioned and the residuals grow again after that iterate, so the
@@ -27,6 +36,7 @@ returns its best iterate unconverged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,17 +89,41 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
 # Block-structured program container
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _basis_rows(m: int) -> np.ndarray:
+    """hermitian_basis(m) as an (m*m, m*m) array, row p = E_p raveled."""
+    rows = np.stack(hermitian_basis(m)).reshape(m * m, m * m)
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass
 class BlockProgram:
     """min <C, X> s.t. <F_k, X> = b_k, X PSD per block.
 
-    F[b] has shape (M, s_b, s_b); C is None for pure feasibility.
+    Rows are held in factored form: block b has coefficient matrices F[b]
+    of shape (J_b, n_b, n_b) and a level m_b (levels[b], 1 by default), and
+    its row (j, p), numbered j * m_b**2 + p, is F[b][j] (x) E_p over
+    hermitian_basis(m_b).  The block has side n_b * m_b and takes part in
+    the first J_b * m_b**2 rows; its coefficients on later rows are zero.
+    At level 1 F[b] is the plain stack of dense rows.  C is None for pure
+    feasibility.
     """
 
     sizes: tuple
     F: list
     b: np.ndarray
     C: Optional[list] = None
+    levels: Optional[tuple] = None
+
+    def __post_init__(self):
+        self.sizes = tuple(self.sizes)
+        self.levels = tuple(self.levels or (1,) * len(self.F))
+        for s, Fb, lv in zip(self.sizes, self.F, self.levels, strict=True):
+            if Fb.shape[1] * lv != s or Fb.shape[0] * lv * lv > self.num_rows:
+                raise DimensionError(
+                    f"rows of shape {Fb.shape} at level {lv} do not fit a "
+                    f"block of side {s} in {self.num_rows} rows")
 
     @property
     def num_rows(self) -> int:
@@ -99,27 +133,72 @@ class BlockProgram:
     def total_dim(self) -> int:
         return int(sum(self.sizes))
 
+    def _blocks(self):
+        """(coefficients flattened to (J, n*n), basis rows, n, m, rows)."""
+        for Fb, lv in zip(self.F, self.levels):
+            J, n, _ = Fb.shape
+            yield Fb.reshape(J, n * n), _basis_rows(lv), n, lv, J * lv * lv
+
     def apply_A(self, X: list) -> np.ndarray:
         out = np.zeros(self.num_rows)
-        for Fb, Xb in zip(self.F, X):
-            out += np.einsum("kij,ij->k", Fb.conj(), Xb).real
+        for (Fc, E, n, lv, R), Xb in zip(self._blocks(), X):
+            # <C_j (x) E_p, X> = sum conj(C_j[i,k] E_p[a,c]) X[(i,a),(k,c)]
+            x = Xb.reshape(n, lv, n, lv).transpose(0, 2, 1, 3).reshape(n * n, -1)
+            out[:R] += ((Fc.conj() @ x) @ E.conj().T).real.ravel()
         return out
 
     def apply_At(self, y: np.ndarray) -> list:
-        return [np.einsum("k,kij->ij", y, Fb) for Fb in self.F]
+        out = []
+        for Fc, E, n, lv, R in self._blocks():
+            # sum_j C_j (x) W_j with W_j = sum_p y[j,p] E_p
+            w = y[:R].reshape(-1, lv * lv) @ E
+            s = n * lv
+            out.append((Fc.T @ w).reshape(n, n, lv, lv).transpose(0, 2, 1, 3)
+                       .reshape(s, s))
+        return out
 
     def gram(self) -> np.ndarray:
-        m = self.num_rows
-        g = np.zeros((m, m))
-        for Fb in self.F:
-            flat = Fb.reshape(m, -1)
-            g += flat.real @ flat.real.T + flat.imag @ flat.imag.T
+        """Re <F_k, F_l>; per block <C_j, C_i> <E_p, E_q> with the basis
+        orthonormal, so Re(C C*) (x) I."""
+        g = np.zeros((self.num_rows, self.num_rows))
+        for Fc, E, _, lv, R in self._blocks():
+            gc = (Fc.conj() @ Fc.T).real
+            g[:R, :R] += np.kron(gc, np.eye(lv * lv))
         return g
+
+    @cached_property
+    def gram_eigh(self) -> tuple:
+        """Eigendecomposition of the Gram matrix, computed once per program."""
+        return np.linalg.eigh(self.gram())
+
+    def schur(self, X: list, W: list) -> np.ndarray:
+        """M[k, l] = Re tr(F_k X F_l W) over the blocks.
+
+        With P_j = (C_j (x) I) X and Q_i = (C_i (x) I) W on the (n, m, n, m)
+        view, tr(F_(j,p) X F_(i,q) W) = sum E_p[a,a'] E_q[c,c'] T, where T
+        contracts P_j[., a', ., c] with Q_i[., c', ., a] over both range
+        indices; cost 2 J n^3 m^2 + J^2 n^2 m^4, the dense cost at m = 1.
+        """
+        M = np.zeros((self.num_rows, self.num_rows))
+        for (Fc, E, n, lv, R), Xb, Wb in zip(self._blocks(), X, W):
+            J = Fc.shape[0]
+            mm = lv * lv
+            Fb = Fc.reshape(J, n, n)
+            P = (Fb @ Xb.reshape(n, -1)).reshape(J, n, lv, n, lv)
+            Q = (Fb @ Wb.reshape(n, -1)).reshape(J, n, lv, n, lv)
+            Pr = P.transpose(0, 2, 4, 1, 3).reshape(R, n * n)
+            Qr = Q.transpose(0, 2, 4, 3, 1).reshape(R, n * n)
+            T = (Pr @ Qr.T).reshape(J, lv, lv, J, lv, lv)
+            T = T.transpose(0, 5, 1, 3, 2, 4).reshape(J, mm, J * mm)
+            Mb = (E @ T).reshape(R * J, mm) @ E.T
+            M[:R, :R] += Mb.real.reshape(R, R)
+        return M
 
     def identity(self) -> list:
         return [np.eye(s, dtype=complex) for s in self.sizes]
 
     def data_scale(self) -> float:
+        # the entries of F_(j,p) are those of C_j times at most 1
         s = max((float(np.abs(Fb).max(initial=0.0)) for Fb in self.F), default=0.0)
         return max(1.0, s, float(np.abs(self.b).max(initial=0.0)))
 
@@ -150,25 +229,32 @@ def _chol_with_jitter(Xb: np.ndarray):
     raise np.linalg.LinAlgError("matrix is not positive definite")
 
 
-def _factors(X: list) -> list:
-    """Cholesky factor of each block of side > 1, None for 1x1 blocks."""
-    return [None if Xb.shape[0] == 1 else _chol_with_jitter(Xb) for Xb in X]
+def _inverse_factor(Xb: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of Xb, so that Xb^-1 = L^-* L^-1."""
+    L = _chol_with_jitter(Xb)
+    return sla.solve_triangular(L, np.eye(L.shape[0], dtype=L.dtype), lower=True,
+                                check_finite=False)
 
 
-def _step_length(X: list, L: list, dX: list) -> float:
-    """sup {a : X + a dX >= 0}, via eigenvalues of L^-1 dX L^-*, where L
-    holds the factors of X from _factors."""
-    alpha = np.inf
-    for Xb, Lb, Db in zip(X, L, dX):
-        if Lb is None:
-            d = Db[0, 0].real
-            if d < -1e-300:
-                alpha = min(alpha, -Xb[0, 0].real / d)
-            continue
-        t1 = sla.solve_triangular(Lb, Db, lower=True, check_finite=False)
-        S = sla.solve_triangular(Lb, t1.conj().T, lower=True,
-                                 check_finite=False).conj().T
-        lam = float(np.linalg.eigvalsh((S + S.conj().T) / 2.0)[0])
+def _min_eigenvalue(S: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix; LAPACK's heevr computes
+    only that one, after the same tridiagonal reduction as eigvalsh."""
+    heevr, = sla.get_lapack_funcs(("heevr",), (S,))
+    w, _, _, _, info = heevr(S, compute_v=0, range="I", il=1, iu=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"heevr failed with info={info}")
+    return float(w[0])
+
+
+def _step_length(iL: list, dX: list, v: np.ndarray, dv: np.ndarray) -> float:
+    """sup {a : X + a dX >= 0, v + a dv >= 0}: each matrix block through the
+    eigenvalues of L^-1 dX L^-*, with iL holding L^-1 from _inverse_factor,
+    and the diagonal block v through a ratio test."""
+    neg = dv < -1e-300
+    alpha = float(np.min(-v[neg] / dv[neg], initial=np.inf))
+    for iLb, Db in zip(iL, dX):
+        S = iLb @ Db @ iLb.conj().T
+        lam = _min_eigenvalue((S + S.conj().T) / 2.0)
         if lam < -1e-14:
             alpha = min(alpha, -1.0 / lam)
     return alpha
@@ -203,7 +289,13 @@ class IpmResult:
 
 def _ipm(prog: BlockProgram, opts: SolveOptions,
          X0: Optional[list] = None) -> IpmResult:
-    """Predictor-corrector interior-point iteration on the given program."""
+    """Predictor-corrector interior-point iteration on the given program.
+
+    The blocks of side 1 form one nonnegative diagonal block: the vector x
+    with dual slack z and coefficient columns G, handled with vector
+    operations.  The other blocks are iterated as matrices on the factored
+    rows.
+    """
     sizes = prog.sizes
     m = prog.num_rows
     ntot = prog.total_dim
@@ -214,38 +306,50 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
 
     if X0 is None:
         xi = max(1.0, np.sqrt(ntot), float(np.abs(prog.b).max(initial=0.0)))
-        X = [xi * np.eye(s, dtype=complex) for s in sizes]
-    else:
-        X = [Xb.astype(complex).copy() for Xb in X0]
+        X0 = [xi * np.eye(s, dtype=complex) for s in sizes]
     zeta = max(1.0, normC / np.sqrt(ntot), scale)
-    Z = [zeta * np.eye(s, dtype=complex) for s in sizes]
+
+    mat = [k for k, s in enumerate(sizes) if s > 1]
+    lin = [k for k, s in enumerate(sizes) if s == 1]
+    psd = BlockProgram(sizes=tuple(sizes[k] for k in mat),
+                       F=[prog.F[k] for k in mat], b=prog.b,
+                       levels=tuple(prog.levels[k] for k in mat))
+    G = np.zeros((m, len(lin)))
+    for col, k in enumerate(lin):
+        G[: len(prog.F[k]), col] = prog.F[k][:, 0, 0].real
+    Cm = [C[k] for k in mat]
+    c = np.array([C[k][0, 0].real for k in lin])
+    X = _hermitize([np.asarray(X0[k], dtype=complex) for k in mat])
+    x = np.array([X0[k][0, 0].real for k in lin])
+    Z = [zeta * np.eye(sizes[k], dtype=complex) for k in mat]
+    z = np.full(len(lin), zeta)
     y = np.zeros(m)
+    eye = [np.eye(sizes[k], dtype=complex) for k in mat]
+
+    def blocks(mats: list, vec: np.ndarray) -> list:
+        """An iterate in the program's block order."""
+        out = [None] * len(sizes)
+        for k, Xb in zip(mat, mats):
+            out[k] = Xb
+        for k, v in zip(lin, vec):
+            out[k] = np.array([[v + 0j]])
+        return out
 
     best: Optional[IpmResult] = None
     stop = "max_iter"
-    eye = [np.eye(s, dtype=complex) for s in sizes]
-    # constant flattened copies of the constraint rows, reused every iteration
-    flatR = [np.ascontiguousarray(Fb.real).reshape(m, -1) for Fb in prog.F]
-    flatI = [np.ascontiguousarray(Fb.imag).reshape(m, -1) for Fb in prog.F]
-
-    def fast_A(mats: list) -> np.ndarray:
-        out = np.zeros(m)
-        for fr, fi, W in zip(flatR, flatI, mats):
-            out += fr @ W.real.ravel() + fi @ W.imag.ravel()
-        return out
-
     for it in range(opts.max_iter):
-        rp = prog.b - fast_A(X)
-        AtY = prog.apply_At(y)
-        Rd = [Cb - Ab - Zb for Cb, Ab, Zb in zip(C, AtY, Z)]
-        gap = _inner(X, Z)
+        rp = prog.b - psd.apply_A(X) - G @ x
+        Rd = [Cb - Ab - Zb for Cb, Ab, Zb in zip(Cm, psd.apply_At(y), Z)]
+        rd = c - G.T @ y - z
+        gap = _inner(X, Z) + float(x @ z)
         mu = gap / ntot
-        pobj = _inner(C, X)
+        pobj = _inner(Cm, X) + float(c @ x)
         dobj = float(prog.b @ y)
         rel_p = float(np.linalg.norm(rp)) / normb
-        rel_d = np.sqrt(sum(frob(R) ** 2 for R in Rd)) / normC
+        rel_d = np.sqrt(sum(frob(R) ** 2 for R in Rd) + float(rd @ rd)) / normC
         rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
-        cur = IpmResult(_hermitize(X), y.copy(), _hermitize(Z), pobj, dobj,
+        # X and Z are Hermitian already, and later steps rebind, not mutate
+        cur = IpmResult(blocks(X, x), y, blocks(Z, z), pobj, dobj,
                         rel_p, rel_d, rel_gap, it, False)
         score = max(rel_p, rel_d, rel_gap)
         if best is None or score < max(best.rel_p, best.rel_d, best.rel_gap):
@@ -260,25 +364,16 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
 
         # X and Z stay fixed through the iteration: factor each block once
         try:
-            LX = _factors(X)
-            LZ = _factors(Z)
+            iLX = [_inverse_factor(Xb) for Xb in X]
+            iLZ = [_inverse_factor(Zb) for Zb in Z]
         except np.linalg.LinAlgError:
             stop = "factorization"
             break
-        Zinv = [1.0 / Zb if Lb is None else
-                sla.cho_solve((Lb, True), np.eye(Zb.shape[0], dtype=complex),
-                              check_finite=False)
-                for Zb, Lb in zip(Z, LZ)]
+        Zinv = [iL.conj().T @ iL for iL in iLZ]
 
-        # Schur complement M[k,l] = Re tr(F_k X F_l Zinv); symmetric for
-        # Hermitian data, positive definite for independent rows
-        M = np.zeros((m, m))
-        for Fb, Xb, Zib, fr, fi in zip(prog.F, X, Zinv, flatR, flatI):
-            Gb = np.matmul(np.matmul(Xb[None, :, :], Fb), Zib)
-            # contiguous real/imag extracts keep the GEMM on the fast path
-            gtr = Gb.real.transpose(0, 2, 1).reshape(m, -1)
-            gti = Gb.imag.transpose(0, 2, 1).reshape(m, -1)
-            M += fr @ gtr.T - fi @ gti.T
+        # Schur complement M[k,l] = Re tr(F_k X F_l Zinv) + sum_i G_ki G_li x_i/z_i;
+        # symmetric for Hermitian data, positive definite for independent rows
+        M = psd.schur(X, Zinv) + (G * (x / z)) @ G.T
         M = (M + M.T) / 2.0
         ridge = 1e-13 * max(1.0, float(np.trace(M)) / max(m, 1))
         for attempt in range(8):
@@ -291,45 +386,46 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
             stop = "factorization"
             break
 
-        def direction(Rc):
-            rhs = rp.copy()
-            for fr, fi, Rcb, Rdb, Xb, Zib in zip(flatR, flatI, Rc, Rd, X, Zinv):
-                W = (Rcb - Xb @ Rdb) @ Zib
-                rhs -= fr @ W.real.ravel() + fi @ W.imag.ravel()
+        def direction(Rc, rc):
+            W = [(Rcb - Xb @ Rdb) @ Zib for Rcb, Rdb, Xb, Zib in zip(Rc, Rd, X, Zinv)]
+            rhs = rp - psd.apply_A(W) - G @ ((rc - x * rd) / z)
             dy = sla.cho_solve(Mf, rhs) if m else np.zeros(0)
-            AtDy = prog.apply_At(dy)
-            dZ = [Rdb - Ab for Rdb, Ab in zip(Rd, AtDy)]
+            dZ = [Rdb - Ab for Rdb, Ab in zip(Rd, psd.apply_At(dy))]
+            dz = rd - G.T @ dy
             dX = [(Rcb - Xb @ dZb) @ Zib
                   for Rcb, Xb, dZb, Zib in zip(Rc, X, dZ, Zinv)]
-            return _hermitize(dX), dy, _hermitize(dZ)
+            return _hermitize(dX), (rc - x * dz) / z, dy, _hermitize(dZ), dz
 
         # predictor
-        Rc_aff = [-Xb @ Zb for Xb, Zb in zip(X, Z)]
-        dXa, dya, dZa = direction(Rc_aff)
-        ap = min(1.0, _step_length(X, LX, dXa))
-        ad = min(1.0, _step_length(Z, LZ, dZa))
-        mu_aff = _inner([Xb + ap * D for Xb, D in zip(X, dXa)],
-                        [Zb + ad * D for Zb, D in zip(Z, dZa)]) / ntot
+        XZ = [Xb @ Zb for Xb, Zb in zip(X, Z)]
+        dXa, dxa, dya, dZa, dza = direction([-P for P in XZ], -x * z)
+        ap = min(1.0, _step_length(iLX, dXa, x, dxa))
+        ad = min(1.0, _step_length(iLZ, dZa, z, dza))
+        mu_aff = (_inner([Xb + ap * D for Xb, D in zip(X, dXa)],
+                         [Zb + ad * D for Zb, D in zip(Z, dZa)])
+                  + float((x + ap * dxa) @ (z + ad * dza))) / ntot
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8)) if mu > 0 else 0.1
 
         # corrector
-        Rc = [sigma * mu * I - Xb @ Zb - Da @ Db
-              for I, Xb, Zb, Da, Db in zip(eye, X, Z, dXa, dZa)]
-        dX, dy, dZ = direction(Rc)
+        Rc = [sigma * mu * I - P - Da @ Db
+              for I, P, Da, Db in zip(eye, XZ, dXa, dZa)]
+        dX, dx, dy, dZ, dz = direction(Rc, sigma * mu - x * z - dxa * dza)
         tau = 0.95 if rel_gap > 1e-5 else 0.99
-        ap = min(1.0, tau * _step_length(X, LX, dX))
-        ad = min(1.0, tau * _step_length(Z, LZ, dZ))
+        ap = min(1.0, tau * _step_length(iLX, dX, x, dx))
+        ad = min(1.0, tau * _step_length(iLZ, dZ, z, dz))
         if min(ap, ad) < 1e-8:
             # fall back to a pure centering step before giving up
-            Rc = [mu * I - Xb @ Zb for I, Xb, Zb in zip(eye, X, Z)]
-            dX, dy, dZ = direction(Rc)
-            ap = min(1.0, 0.9 * _step_length(X, LX, dX))
-            ad = min(1.0, 0.9 * _step_length(Z, LZ, dZ))
+            Rc = [mu * I - P for I, P in zip(eye, XZ)]
+            dX, dx, dy, dZ, dz = direction(Rc, mu - x * z)
+            ap = min(1.0, 0.9 * _step_length(iLX, dX, x, dx))
+            ad = min(1.0, 0.9 * _step_length(iLZ, dZ, z, dz))
             if min(ap, ad) < 1e-10:
                 stop = "short_step"
                 break
         X = _hermitize([Xb + ap * D for Xb, D in zip(X, dX)])
+        x = x + ap * dx
         Z = _hermitize([Zb + ad * D for Zb, D in zip(Z, dZ)])
+        z = z + ad * dz
         y = y + ad * dy
 
     assert best is not None
@@ -369,10 +465,10 @@ class FeasibilityResult:
 def _affine_start(prog: BlockProgram, opts: SolveOptions):
     """Minimum-norm Hermitian solution of A(X) = b, or None if inconsistent.
 
-    Also reports the Gram matrix and a Farkas vector for inconsistency.
+    Also reports the residual, whether the system is consistent and whether
+    the Gram matrix is rank deficient beyond rank_tol.
     """
-    g = prog.gram()
-    evals, evecs = np.linalg.eigh(g)
+    evals, evecs = prog.gram_eigh
     lam_max = max(float(evals[-1]), 1e-300)
     keep = evals > opts.rank_tol * lam_max
     rank_deficient = bool(np.any(~keep))
@@ -392,12 +488,12 @@ def refine_affine(prog: BlockProgram, X: list) -> list:
     The interior-point iterate can stall with a small residual when the
     Schur system turns ill-conditioned near the boundary; the projection
     removes it at a cost to lambda_min no larger than the correction norm.
+    It reuses the Gram eigendecomposition that _affine_start computed.
     """
     resid = prog.b - prog.apply_A(X)
     if float(np.linalg.norm(resid)) <= 1e-15 * max(1.0, float(np.linalg.norm(prog.b))):
         return X
-    g = prog.gram()
-    evals, evecs = np.linalg.eigh(g)
+    evals, evecs = prog.gram_eigh
     keep = evals > 1e-12 * max(float(evals[-1]), 1e-300)
     w = evecs[:, keep] @ ((evecs[:, keep].T @ resid) / evals[keep])
     corr = prog.apply_At(w)
@@ -428,19 +524,16 @@ def solve_feasibility(prog: BlockProgram,
     tmax = max(100.0, 8.0 * (abs(t0) + 2.0), 4.0 * abs(np.trace(X0[0]).real)
                if X0 else 100.0)
 
-    sizes = tuple(list(prog.sizes) + [1, 1, 1])
-    a = np.array([sum(np.trace(Fb[k]).real for Fb in prog.F)
-                  for k in range(m)])
-    F = [np.concatenate([Fb, np.zeros((1,) + Fb.shape[1:], dtype=complex)])
-         for Fb in prog.F]
-    # t+ / t- / cap-slack coefficient blocks, one extra cap row
-    Fp = np.concatenate([a, [1.0]]).reshape(-1, 1, 1).astype(complex)
-    Fm = np.concatenate([-a, [1.0]]).reshape(-1, 1, 1).astype(complex)
-    Fs = np.concatenate([np.zeros(m), [1.0]]).reshape(-1, 1, 1).astype(complex)
+    # t+ / t- / cap-slack auxiliaries, 1x1 blocks on the rows and one extra
+    # cap row; the program's own blocks are zero on the cap row
+    a = prog.apply_A(prog.identity())
+    aux = [np.concatenate([v, [1.0]]).reshape(-1, 1, 1).astype(complex)
+           for v in (a, -a, np.zeros(m))]
     b = np.concatenate([prog.b, [tmax]])
     C = [np.zeros((s, s), dtype=complex) for s in prog.sizes]
     C += [np.array([[-1.0 + 0j]]), np.array([[1.0 + 0j]]), np.array([[0j]])]
-    shifted = BlockProgram(sizes=sizes, F=F + [Fp, Fm, Fs], b=b, C=C)
+    shifted = BlockProgram(sizes=prog.sizes + (1, 1, 1), F=list(prog.F) + aux,
+                           b=b, C=C, levels=prog.levels + (1, 1, 1))
 
     tp0 = max(t0, 0.0) + 1.0
     tm0 = tp0 - t0

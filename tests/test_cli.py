@@ -147,6 +147,25 @@ def test_include_and_separate(pauli_file, square_vertices_file, tmp_path,
     assert main(["separate", "--range", pauli_file, "--point", bary]) == EXIT_NO
 
 
+def test_separate_exit_code_follows_the_verdict_status(pauli_file, tmp_path,
+                                                       monkeypatch, capsys):
+    from matrange import cli
+    from matrange.errors import NotSeparableError
+
+    def refuse(status):
+        def separating_pencil(*args, **kwargs):
+            raise NotSeparableError("no separating pencil", status=status)
+        return separating_pencil
+
+    point = write_tuple(tmp_path / "p.json", MatrixTuple.scalar_point([0.1, 0.1]))
+    args = ["separate", "--range", pauli_file, "--point", point]
+    monkeypatch.setattr(cli, "separating_pencil", refuse("marginal"))
+    assert main(args) == EXIT_MARGINAL
+    assert json.loads(capsys.readouterr().out)["status"] == "not_separable"
+    monkeypatch.setattr(cli, "separating_pencil", refuse("in"))
+    assert main(args) == EXIT_NO
+
+
 def test_equiv_round_trip(tmp_path, rng, capsys):
     from conftest import rand_unitary
     from matrange.matcore import conjugate

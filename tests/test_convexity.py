@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matrange.convexity import (
+    Pencil,
     PolytopeBody,
     choi_of_compression,
     exposing_pencil,
@@ -19,7 +20,12 @@ from matrange.convexity import (
     wmax_membership,
     wmin_membership,
 )
-from matrange.errors import DimensionError, NoGapError, NotSeparableError
+from matrange.errors import (
+    CertificateError,
+    DimensionError,
+    NoGapError,
+    NotSeparableError,
+)
 from matrange.matcore import MatrixTuple, compress, conjugate, direct_sum, direct_sum_all
 from conftest import rand_herm, rand_isometry, rand_tuple, rand_unitary
 
@@ -244,8 +250,23 @@ def test_separating_pencil_level2_regression():
 
 
 def test_separating_pencil_requires_out():
-    with pytest.raises(NotSeparableError):
+    with pytest.raises(NotSeparableError) as exc:
         separating_pencil(PAULI, MatrixTuple.scalar_point([0.1, 0.1]))
+    assert exc.value.status == "in"
+
+
+def test_validate_separator_needs_the_point_above_the_range():
+    # lambda_max 1 + 5e-7 on the range and 1 + 2e-7 at the point: within the
+    # range bound and past 1 + FEAS_TOL at the point, yet the point lies
+    # below the range, so the pencil separates nothing
+    pencil = Pencil(coeffs=np.ones((1, 1, 1), dtype=complex),
+                    offset=np.zeros((1, 1), dtype=complex), level=1)
+    with pytest.raises(CertificateError):
+        validate_separator(pencil, MatrixTuple.scalar_point([1.0 + 5e-7]),
+                           MatrixTuple.scalar_point([1.0 + 2e-7]))
+    on_range, at_point = validate_separator(
+        pencil, MatrixTuple.scalar_point([1.0]), MatrixTuple.scalar_point([1.5]))
+    assert (on_range, at_point) == (1.0, 1.5)
 
 
 # --- exposing pencils --------------------------------------------------------

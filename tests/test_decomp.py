@@ -11,6 +11,7 @@ from matrange.decomp import (
     commutant_dim,
     dedup,
     irreducible_decomposition,
+    is_irreducible,
     unitary_equivalent,
 )
 from matrange.errors import DegenerateSpectrumError, NonIrreducibleInputError
@@ -275,3 +276,18 @@ def test_caller_decomp_tol_decides_reducibility():
     dec = irreducible_decomposition(t, decomp_tol=1e-4)
     assert sorted((b.n, m) for b, m in dec.blocks) == [(1, 1), (2, 1)]
     assert dec.reassembly_residual() <= 1e-4 * max(1.0, np.linalg.norm(t.mats))
+
+
+def test_equivalence_check_uses_the_caller_decomp_tol(rng):
+    # a Pauli pair and a point coupled by 2e-8 is irreducible at
+    # decomp_tol=2e-9 and reducible at the default 1e-8; two conjugate
+    # copies group into one class when the equivalence check runs at the
+    # caller's tolerance (at the default it raised NonIrreducibleInputError)
+    mats = np.array(direct_sum(PAULI, MatrixTuple.scalar_point([2.0, 0.5])).mats)
+    mats[0, 0, 2] = mats[0, 2, 0] = 2e-8
+    blk = MatrixTuple(mats)
+    assert not is_irreducible(blk) and is_irreducible(blk, 2e-9)
+    t = direct_sum(blk, conjugate(blk, rand_unitary(3, rng)))
+    dec = irreducible_decomposition(t, decomp_tol=2e-9)
+    assert [(b.n, m) for b, m in dec.blocks] == [(3, 2)]
+    assert dec.reassembly_residual() <= 2e-9 * max(1.0, np.linalg.norm(t.mats))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrange import sdp
 from matrange.convexity import _choi_program, _shared_coords, build_frame
 from matrange.errors import CertificateError, DimensionError, IllConditionedError
-from matrange.matcore import MatrixTuple, compress
+from matrange.matcore import MatrixTuple, compress, direct_sum_all
 from matrange.sdp import (
     BlockProgram,
     SolveOptions,
@@ -17,7 +18,7 @@ from matrange.sdp import (
     solve_feasibility,
     verify_outcome,
 )
-from conftest import rand_herm, rand_isometry
+from conftest import rand_herm, rand_isometry, rand_tuple
 
 
 def test_hermitian_basis_orthonormal():
@@ -255,3 +256,62 @@ def test_converged_solve_ignores_the_stall_window(monkeypatch):
     assert r.ipm.iterations_run == r.ipm.iterations + 1
     monkeypatch.setattr(sdp, "STALL_WINDOW", SolveOptions().max_iter)
     _assert_same_solve(r, solve_feasibility(prog))
+
+
+def _dense_choi_rows(range_coords, point_coords, frame, comps, m):
+    """The Choi program's rows built explicitly with np.kron, per component,
+    and its right-hand side: row (j, p) is C_j (x) E_p with C_0 = I and
+    C_j the transposed shifted range coordinate."""
+    n = range_coords.shape[1]
+    basis = hermitian_basis(m)
+    coeffs = [np.eye(n)] + [(range_coords[j] - frame.center[j] * np.eye(n)).T
+                            for j in frame.kept]
+    targets = [np.eye(m)] + [point_coords[j] - frame.center[j] * np.eye(m)
+                             for j in frame.kept]
+    rows = [np.stack([np.kron(c[np.ix_(idx, idx)], e)
+                      for c in coeffs for e in basis]) for idx in comps]
+    b = np.array([np.einsum("ij,ij->", e.conj(), k).real
+                  for k in targets for e in basis])
+    return rows, b
+
+
+def _rand_pd(s, rng):
+    g = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+    return g @ g.conj().T + np.eye(s)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       level=st.integers(1, 3), hermitian=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_factored_rows_match_dense_kron_rows(sizes, level, hermitian, seed):
+    rng = np.random.default_rng(seed)
+    rng_t = direct_sum_all([rand_tuple(2, n, rng, hermitian=hermitian)
+                            for n in sizes])
+    point = rand_tuple(2, level, rng, hermitian=hermitian)
+    point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
+    frame = build_frame(range_coords, hermitian_input)
+    prog, comps, m = _choi_program(range_coords, point_coords, frame)
+    rows, b = _dense_choi_rows(range_coords, point_coords, frame, comps, m)
+    assert m == level and prog.levels == (level,) * len(comps)
+    assert prog.sizes == tuple(r.shape[1] for r in rows)
+    np.testing.assert_allclose(prog.b, b, atol=1e-14)
+
+    X = [_rand_pd(s, rng) for s in prog.sizes]
+    W = [_rand_pd(s, rng) for s in prog.sizes]
+    y = rng.standard_normal(prog.num_rows)
+    A = sum(np.einsum("kij,ij->k", R.conj(), Xb).real for R, Xb in zip(rows, X))
+    flat = [R.reshape(len(R), -1) for R in rows]
+    gram = sum((f.conj() @ f.T).real for f in flat)
+    schur = sum(np.einsum("kab,bc,lcd,da->kl", R, Xb, R, Wb).real
+                for R, Xb, Wb in zip(rows, X, W))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    close(prog.apply_A(X), A)
+    for got, R in zip(prog.apply_At(y), rows):
+        close(got, np.einsum("k,kij->ij", y, R))
+    close(prog.gram(), gram)
+    close(prog.schur(X, W), schur)
