@@ -19,10 +19,17 @@ def format_float(x: float) -> str:
     return s
 
 
-def dumps(obj, indent: int = 0) -> str:
+def dumps(obj) -> str:
     out: list[str] = []
     _emit(obj, out)
     return "".join(out)
+
+
+def complex_rows(m) -> list:
+    """A complex matrix as its rows of [re, im] pairs, the encoding of every
+    matrix in a report."""
+    return [[[re, im] for re, im in zip(rr, ri)]
+            for rr, ri in zip(m.real.tolist(), m.imag.tolist())]
 
 
 def _emit(obj, out: list) -> None:

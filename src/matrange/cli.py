@@ -15,10 +15,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _jsonutil
 from .convexity import (
+    FEAS_TOL,
     MARGINAL,
     membership,
     polytope_from_dict,
@@ -44,22 +43,17 @@ EXIT_ERROR = 3
 
 ENV_PREFIX = "MATRANGE_"
 
-COMMANDS = ("decompose", "minimize", "member", "include", "separate",
-            "equiv", "wmin", "wmax", "fully-compressed")
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    feas_tol: float = 1e-7
-    decomp_tol: float = 1e-8
-    equiv_tol: float = 1e-6
+    feas_tol: float = FEAS_TOL
     seed: int = 0
     output_format: str = "json"
     boundary_policy: str = "in"
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.decomp_tol <= 0 or self.equiv_tol <= 0:
-            raise ParseError("tolerances must be positive")
+        if self.feas_tol <= 0:
+            raise ParseError("tolerance must be positive")
         if self.output_format not in ("json", "text"):
             raise ParseError("format must be json or text")
         if self.boundary_policy not in ("in", "marginal"):
@@ -99,11 +93,6 @@ def load_polytope(path: str):
 
 def _verdict_exit(status: str) -> int:
     return {"in": EXIT_YES, "out": EXIT_NO, "marginal": EXIT_MARGINAL}[status]
-
-
-def _unitary_to_rows(u: np.ndarray) -> list:
-    return [[[float(u[r, c].real), float(u[r, c].imag)]
-             for c in range(u.shape[1])] for r in range(u.shape[0])]
 
 
 def run(command: str, args: dict, config: RunConfig) -> tuple[int, dict]:
@@ -163,8 +152,7 @@ def run(command: str, args: dict, config: RunConfig) -> tuple[int, dict]:
             witness = recover_unitary(load_tuple(args["left"]),
                                       load_tuple(args["right"]),
                                       seed=config.seed,
-                                      feas_tol=config.feas_tol,
-                                      equiv_tol=config.equiv_tol)
+                                      feas_tol=config.feas_tol)
         except NotEquivalentError as exc:
             report = {"command": command, "status": "not_equivalent",
                       "message": str(exc)}
@@ -177,7 +165,7 @@ def run(command: str, args: dict, config: RunConfig) -> tuple[int, dict]:
         return EXIT_YES, {"command": command, "status": "equivalent",
                           "residual": float(witness.residual),
                           "block_permutation": list(witness.block_permutation),
-                          "unitary": _unitary_to_rows(witness.unitary)}
+                          "unitary": _jsonutil.complex_rows(witness.unitary)}
 
     if command == "wmin":
         verdict = wmin_membership(load_tuple(args["point"]),
@@ -239,6 +227,9 @@ def render_text(report: dict) -> str:
 
 
 def _env_default(name: str, fallback):
+    """The environment's string for a flag, or the fallback; argparse
+    converts a string default with the flag's type and reports a malformed
+    one as a usage error."""
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
@@ -247,16 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="matrange",
         description="matrix ranges, membership SDPs, minimal presentations")
     parser.add_argument("--tol", type=float,
-                        default=float(_env_default("TOL", 1e-7)),
-                        help="feasibility tolerance (default 1e-7)")
+                        default=_env_default("TOL", FEAS_TOL),
+                        help=f"feasibility tolerance (default {FEAS_TOL:g})")
     parser.add_argument("--seed", type=int,
-                        default=int(_env_default("SEED", 0)),
+                        default=_env_default("SEED", 0),
                         help="seed for randomized decompositions")
     parser.add_argument("--format", choices=("json", "text"),
-                        default=str(_env_default("FORMAT", "json")),
+                        default=_env_default("FORMAT", "json"),
                         help="report format")
     parser.add_argument("--boundary", choices=("in", "marginal"),
-                        default=str(_env_default("BOUNDARY", "in")),
+                        default=_env_default("BOUNDARY", "in"),
                         help="how to resolve boundary-of-range verdicts")
     sub = parser.add_subparsers(dest="command")
 

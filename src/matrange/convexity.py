@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
 
+from . import _jsonutil
 from .decomp import commutant_dim, irreducible_decomposition
 from .errors import (
     CertificateError,
@@ -32,7 +32,6 @@ from .errors import (
 from .matcore import MatrixTuple, direct_sum_all, frob, herm_split
 from .sdp import (
     BlockProgram,
-    SolveOptions,
     detect_blocks,
     hermitian_basis,
     solve_feasibility,
@@ -81,12 +80,8 @@ class ChoiCertificate:
         return float(np.linalg.eigvalsh(c)[0])
 
     def to_dict(self) -> dict:
-        c = self.choi
-        return {
-            "map_dims": [self.n_in, self.m_out],
-            "choi": [[[float(c[r, q].real), float(c[r, q].imag)]
-                      for q in range(c.shape[1])] for r in range(c.shape[0])],
-        }
+        return {"map_dims": [self.n_in, self.m_out],
+                "choi": _jsonutil.complex_rows(self.choi)}
 
 
 def choi_of_compression(v: np.ndarray) -> ChoiCertificate:
@@ -160,12 +155,8 @@ class Pencil:
             "level": self.level,
             "d": int(self.d),
             "hermitian_input": self.hermitian_input,
-            "coeffs": [[[[float(g[r, c].real), float(g[r, c].imag)]
-                         for c in range(self.level)] for r in range(self.level)]
-                       for g in self.coeffs],
-            "offset": [[[float(self.offset[r, c].real),
-                         float(self.offset[r, c].imag)]
-                        for c in range(self.level)] for r in range(self.level)],
+            "coeffs": [_jsonutil.complex_rows(g) for g in self.coeffs],
+            "offset": _jsonutil.complex_rows(self.offset),
         }
 
 
@@ -249,10 +240,6 @@ class CoordinateFrame:
     center: np.ndarray  # length total; zero on dropped coordinates
     relations: tuple    # of (alpha over all coords, beta)
     hermitian_input: bool
-
-    @property
-    def reduced_dim(self) -> int:
-        return len(self.kept)
 
 
 def build_frame(range_coords: np.ndarray, hermitian_input: bool) -> CoordinateFrame:
@@ -465,8 +452,7 @@ def _fast_subblock_witness(point: MatrixTuple, rng_t: MatrixTuple,
 def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
                feas_tol: float = FEAS_TOL,
                boundary: str = BOUNDARY_IN,
-               split_point: bool = True,
-               solve_opts: Optional[SolveOptions] = None) -> MembershipVerdict:
+               split_point: bool = True) -> MembershipVerdict:
     """Is the point tuple in the matrix range of rng_t?
 
     In-verdicts carry a validated Choi witness, Out-verdicts a validated
@@ -475,7 +461,6 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
     Marginal under boundary="marginal".
     """
     point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
-    opts = solve_opts or SolveOptions(feas_tol=feas_tol)
 
     # range-side affine relations must be satisfied by any member
     frame = build_frame(range_coords, hermitian_input)
@@ -501,10 +486,10 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
 
     if split_point and point.n > 1 and commutant_dim(point) > 1:
         return _membership_split_point(point, rng_t, point_coords, range_coords,
-                                       frame, feas_tol, boundary, opts)
+                                       feas_tol, boundary)
 
     prog, comps, m = _choi_program(range_coords, point_coords, frame)
-    feas = solve_feasibility(prog, opts)
+    feas = solve_feasibility(prog)
     t_star = feas.t_star
     if not feas.resolves(feas_tol):
         return MembershipVerdict(status=MARGINAL, margin=t_star,
@@ -534,8 +519,8 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
                              separator_violation=at_point - 1.0)
 
 
-def _membership_split_point(point, rng_t, point_coords, range_coords, frame,
-                            feas_tol, boundary, opts) -> MembershipVerdict:
+def _membership_split_point(point, rng_t, point_coords, range_coords,
+                            feas_tol, boundary) -> MembershipVerdict:
     """Reduce a reducible point to its irreducible summands.
 
     The point lies in the range exactly when every summand does; witnesses
@@ -549,7 +534,7 @@ def _membership_split_point(point, rng_t, point_coords, range_coords, frame,
     worst = np.inf
     for blk, mult in dec.blocks:
         sub = membership(blk, rng_t, feas_tol=feas_tol, boundary=boundary,
-                         split_point=False, solve_opts=opts)
+                         split_point=False)
         if sub.is_out:
             lifted = _pad_pencil(sub.separator, point.n)
             _, at_point = validate_separator(lifted, rng_t, point)
@@ -576,14 +561,12 @@ def inclusion(a: MatrixTuple, b: MatrixTuple, **kwargs) -> MembershipVerdict:
 
 
 def separating_pencil(rng_t: MatrixTuple, point: MatrixTuple, *,
-                      feas_tol: float = FEAS_TOL,
-                      solve_opts: Optional[SolveOptions] = None
-                      ) -> tuple[Pencil, float]:
+                      feas_tol: float = FEAS_TOL) -> tuple[Pencil, float]:
     """Pencil at the point's level with lambda_max <= 1 on W(rng_t) and
     >= 1 + margin at the point.  Raises NotSeparableError unless the
     membership verdict is Out."""
     verdict = membership(point, rng_t, feas_tol=feas_tol,
-                         boundary=BOUNDARY_MARGINAL, solve_opts=solve_opts)
+                         boundary=BOUNDARY_MARGINAL)
     if not verdict.is_out:
         raise NotSeparableError(
             f"membership verdict is '{verdict.status}', not out", verdict.status)
@@ -591,9 +574,7 @@ def separating_pencil(rng_t: MatrixTuple, point: MatrixTuple, *,
 
 
 def exposing_pencil(summands: Sequence[MatrixTuple], index: int, *,
-                    feas_tol: float = FEAS_TOL,
-                    solve_opts: Optional[SolveOptions] = None
-                    ) -> tuple[Pencil, float]:
+                    feas_tol: float = FEAS_TOL) -> tuple[Pencil, float]:
     """Pencil touching the chosen summand at 1 while every other summand
     stays below 1 - eps; returns (pencil, eps).
 
@@ -609,8 +590,7 @@ def exposing_pencil(summands: Sequence[MatrixTuple], index: int, *,
         return _lone_exposing_pencil(y), 1.0
     rest = direct_sum_all(others)
     try:
-        pencil, _ = separating_pencil(rest, y, feas_tol=feas_tol,
-                                      solve_opts=solve_opts)
+        pencil, _ = separating_pencil(rest, y, feas_tol=feas_tol)
     except NotSeparableError as exc:
         raise NoGapError(
             "no exposing gap: summand is inside the hull of the others "
@@ -716,18 +696,6 @@ def _in_hull(point: np.ndarray, pts: np.ndarray, tol: float = 1e-9) -> bool:
     res = linprog(c=np.zeros(len(pts)), A_eq=a_eq, b_eq=b_eq,
                   bounds=[(0, None)] * len(pts), method="highs")
     return bool(res.status == 0)
-
-
-def square_halfspaces(dim: int = 2) -> list:
-    out = []
-    for j in range(dim):
-        a = [0.0] * dim
-        a[j] = 1.0
-        out.append((tuple(a), 1.0))
-        a2 = [0.0] * dim
-        a2[j] = -1.0
-        out.append((tuple(a2), 1.0))
-    return out
 
 
 def vertex_tuple(k: PolytopeBody) -> MatrixTuple:
@@ -836,40 +804,3 @@ def hull_vertices(k: PolytopeBody) -> list[tuple]:
     body = PolytopeBody(dim=k.dim, vertices=tuple(pts))
     flags = body.vertex_flags()
     return sorted(v for v, keep in zip(body.vertices, flags) if keep)
-
-
-def level1_hull_samples(t: MatrixTuple, num_random: int = 100_000,
-                        num_angles: int = 360, seed: int = 0) -> np.ndarray:
-    """Samples of the first level of a d=2 Hermitian tuple: quadratic forms
-    v* H v over random unit vectors, enriched with extreme eigenvectors of
-    directional combinations so the hull boundary is covered."""
-    if t.d != 2 or not t.is_hermitian:
-        raise DimensionError("level-1 sampling expects a Hermitian pair")
-    h1, h2 = t.mats[0], t.mats[1]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((num_random, t.n)) + 1j * rng.standard_normal(
-        (num_random, t.n))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    xs = np.einsum("ki,ij,kj->k", v.conj(), h1, v).real
-    ys = np.einsum("ki,ij,kj->k", v.conj(), h2, v).real
-    extra = []
-    for theta in np.linspace(0, 2 * np.pi, num_angles, endpoint=False):
-        m = np.cos(theta) * h1 + np.sin(theta) * h2
-        _, vecs = np.linalg.eigh(m)
-        for w in (vecs[:, 0], vecs[:, -1]):
-            extra.append((float((w.conj() @ h1 @ w).real),
-                          float((w.conj() @ h2 @ w).real)))
-    return np.vstack([np.stack([xs, ys], axis=1), np.array(extra)])
-
-
-def planar_hull_verdict(samples: np.ndarray, point: Sequence[float],
-                        band: float = 1e-3) -> str:
-    """Point-in-hull test over sampled level-1 points: "in", "out", or
-    "band" when within the stated distance of the hull boundary."""
-    hull = ConvexHull(samples)
-    eqs = hull.equations  # rows a.x + b <= 0 inside
-    vals = eqs[:, :2] @ np.asarray(point) + eqs[:, 2]
-    worst = float(vals.max())
-    if abs(worst) <= band:
-        return "band"
-    return IN if worst < 0 else OUT

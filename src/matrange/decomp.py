@@ -22,6 +22,7 @@ from .errors import (
     DimensionError,
     NonIrreducibleInputError,
 )
+from . import _jsonutil
 from .matcore import MatrixTuple, conjugate, direct_sum_all, frob, tuple_to_dict
 
 DECOMP_TOL = 1e-8
@@ -48,35 +49,25 @@ def _commutant_system(a: MatrixTuple, b: MatrixTuple) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _null_space(k: np.ndarray, rtol: float) -> tuple[np.ndarray, float]:
-    """Orthonormal null-space basis columns and the first kept singular value."""
+def _null_space(k: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal null-space basis columns."""
     # the thin factorisation suffices for tall systems and skips the
     # (rows x rows) left factor
     _, s, vh = np.linalg.svd(k, full_matrices=k.shape[0] < k.shape[1])
-    scale = s[0] if s.size and s[0] > 0 else 1.0
+    # floored at 1 like every tolerance here: a scalar tuple's system is zero
+    # up to rounding, and its noise must not set the scale
+    scale = max(1.0, float(s[0]))
     mask = s <= rtol * scale
     ns = vh[len(s):].conj().T  # rows beyond min(m,n) are exact null directions
     extra = vh[: len(s)][mask].conj().T
-    basis = np.hstack([extra, ns]) if ns.size else extra
-    smallest_kept = float(s[~mask][-1]) if np.any(~mask) else 0.0
-    return basis, smallest_kept
-
-
-def intertwiner_space(a: MatrixTuple, b: MatrixTuple,
-                      rtol: float = DECOMP_TOL) -> np.ndarray:
-    """Basis (columns of vecs) of {X : X B_j = A_j X and X B_j* = A_j* X}."""
-    if a.d != b.d:
-        raise DimensionError("intertwiner needs tuples with equal d")
-    k = _commutant_system(a, b)
-    basis, _ = _null_space(k, rtol)
-    return basis
+    return np.hstack([extra, ns]) if ns.size else extra
 
 
 def commutant_basis(a: MatrixTuple, rtol: float = DECOMP_TOL) -> list[np.ndarray]:
     """Orthonormal (Frobenius) basis of the commutant; always contains span I."""
-    basis = intertwiner_space(a, a, rtol)
-    return [basis[:, i].reshape(a.n, a.n).T for i in range(basis.shape[1])]
+    basis = _null_space(_commutant_system(a, a), rtol)
     # .T undoes the column-major vec
+    return [basis[:, i].reshape(a.n, a.n).T for i in range(basis.shape[1])]
 
 
 def commutant_dim(a: MatrixTuple, rtol: float = DECOMP_TOL) -> int:
@@ -110,14 +101,15 @@ def _hermitian_commutant_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
     return [(row[: n * n] + 1j * row[n * n:]).reshape(n, n) for row in vh[:k]]
 
 
-def canonical_key(t: MatrixTuple, digits: int = 8) -> tuple:
-    """Ordering key (size, trace moments) that is invariant under conjugation."""
+def canonical_key(t: MatrixTuple) -> tuple:
+    """Ordering key (size, trace moments to 8 decimals) that is invariant
+    under conjugation."""
     h = t.herm_form
-    m1 = [round(float(np.trace(h[j]).real), digits) for j in range(h.shape[0])]
+    m1 = [round(float(np.trace(h[j]).real), 8) for j in range(h.shape[0])]
     m2 = []
     for j in range(h.shape[0]):
         for k in range(j, h.shape[0]):
-            m2.append(round(float(np.trace(h[j] @ h[k]).real), digits))
+            m2.append(round(float(np.trace(h[j] @ h[k]).real), 8))
     return (t.n, tuple(m1), tuple(m2))
 
 
@@ -178,10 +170,6 @@ class BlockDecomposition:
     blocks: tuple  # of (MatrixTuple, multiplicity)
     marginal_pairs: tuple = field(default_factory=tuple)
 
-    @property
-    def block_order(self) -> list[tuple]:
-        return [canonical_key(b) for b, _ in self.blocks]
-
     def assembled(self) -> MatrixTuple:
         parts = []
         for b, mult in self.blocks:
@@ -196,10 +184,8 @@ class BlockDecomposition:
         return sum(b.n * m for b, m in self.blocks)
 
     def to_dict(self) -> dict:
-        u = self.unitary
         return {
-            "unitary": [[[float(u[r, c].real), float(u[r, c].imag)]
-                         for c in range(u.shape[1])] for r in range(u.shape[0])],
+            "unitary": _jsonutil.complex_rows(self.unitary),
             "blocks": [{"tuple": tuple_to_dict(b), "multiplicity": m}
                        for b, m in self.blocks],
         }

@@ -22,11 +22,7 @@ class NonIrreducibleInputError(MatrangeError):
 
 
 class IllConditionedError(MatrangeError):
-    """Constraint Gram matrix is rank deficient beyond rank_tol."""
-
-
-class IterationLimitError(MatrangeError):
-    """Solver hit its iteration cap without producing a certificate."""
+    """Constraint Gram matrix is rank deficient beyond sdp.RANK_TOL."""
 
 
 class CertificateError(MatrangeError):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .convexity import (
     BOUNDARY_IN,
+    FEAS_TOL,
     ChoiCertificate,
     MembershipVerdict,
     Pencil,
@@ -29,6 +30,7 @@ from .convexity import (
     vertex_tuple,
 )
 from .decomp import (
+    EQUIV_TOL,
     BlockDecomposition,
     canonical_key,
     irreducible_decomposition,
@@ -49,9 +51,6 @@ from .matcore import (
     frob,
     tuple_to_dict,
 )
-from .sdp import FEAS_TOL
-
-EQUIV_TOL = 1e-6
 
 CRUCIAL = "crucial"
 REDUNDANT = "redundant"

@@ -101,24 +101,15 @@ class MatrixTuple:
     def scale(self) -> float:
         return max(1.0, max(frob(m) for m in self.mats))
 
-    def coordinate(self, j: int) -> np.ndarray:
-        return self.mats[j]
-
-    def close_to(self, other: "MatrixTuple", tol: float) -> bool:
-        if self.d != other.d or self.n != other.n:
-            return False
-        return frob(self.mats - other.mats) <= tol * max(1.0, frob(self.mats))
-
     def __repr__(self):
         return f"MatrixTuple(d={self.d}, n={self.n})"
 
 
-def herm_split(t: MatrixTuple, drop_zero: bool = False) -> MatrixTuple:
+def herm_split(t: MatrixTuple) -> MatrixTuple:
     """Split into 2d Hermitian coordinates (Re A_1, Im A_1, ...).
 
     Re M = (M + M*)/2 and Im M = (M - M*)/(2i), so M = Re M + i Im M
-    reconstructs exactly.  With drop_zero, coordinates that are exactly
-    the zero matrix are removed.
+    reconstructs exactly.
     """
     out = []
     for m in t.mats:
@@ -126,10 +117,6 @@ def herm_split(t: MatrixTuple, drop_zero: bool = False) -> MatrixTuple:
         im = (m - m.conj().T) / 2.0j
         out.append(re)
         out.append(im)
-    if drop_zero:
-        out = [m for m in out if np.any(m != 0)]
-        if not out:
-            out = [np.zeros((t.n, t.n), dtype=complex)]
     return MatrixTuple(np.stack(out))
 
 
@@ -195,12 +182,8 @@ def conjugate(t: MatrixTuple, u: np.ndarray, iso_tol: float = ISO_TOL) -> Matrix
 # ---------------------------------------------------------------------------
 
 def tuple_to_dict(t: MatrixTuple) -> dict:
-    mats = [
-        [[[float(m[r, c].real), float(m[r, c].imag)] for c in range(t.n)]
-         for r in range(t.n)]
-        for m in t.mats
-    ]
-    return {"d": t.d, "n": t.n, "mats": mats}
+    return {"d": t.d, "n": t.n,
+            "mats": [_jsonutil.complex_rows(m) for m in t.mats]}
 
 
 def tuple_to_json(t: MatrixTuple) -> str:

@@ -1,4 +1,4 @@
-"""Dense semidefinite feasibility/optimization engine with certificates.
+"""Dense semidefinite feasibility engine with certificates.
 
 Problems are posed over one or more complex Hermitian PSD blocks with real
 affine constraints <F_k, X> = b_k, where <M, N> = Re tr(M* N).  The solver
@@ -9,12 +9,12 @@ Feasibility questions are answered through the shifted program
     maximize t  subject to  A(Y) + t * A(I) = b,  Y >= 0,
 
 whose optimum t* is the largest attainable smallest eigenvalue on the affine
-slice.  t* > 0 certifies strict feasibility with the interior primal point
-Y* + t* I; t* < 0 yields, through the dual multipliers, a Farkas pair
-(y, S = sum_k y_k F_k) with S >= 0, tr S = 1 and b . y = t* < 0, which is
-impossible for a feasible program.  |t*| is reported as the margin.  Every
-outcome re-validates through direct eigenvalue computation; a certificate
-that fails validation is a hard error.
+slice; solve_feasibility is the one entry point.  t* > 0 certifies strict
+feasibility with the interior primal point Y* + t* I; t* < 0 yields,
+through the dual multipliers, a Farkas pair (y, S = sum_k y_k F_k) with
+S >= 0, tr S = 1 and b . y = t* < 0, which is impossible for a feasible
+program.  Callers re-validate every certificate they build from the result
+through direct eigenvalue computation.
 
 A BlockProgram holds each block's rows in factored form, C_j (x) E_p with
 E_p running over hermitian_basis(m) for the block's level m, which is how
@@ -44,26 +44,16 @@ import scipy.linalg as sla
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import CertificateError, DimensionError, IllConditionedError
-from .matcore import frob, is_hermitian
+from .errors import DimensionError, IllConditionedError
+from .matcore import frob
 
-FEAS_TOL = 1e-7
+# _ipm converges once rel_p, rel_d and rel_gap are all at most IPM_TOL
+IPM_TOL = 1e-10
+MAX_ITER = 120
+# Gram eigenvalues below RANK_TOL times the largest mark dependent rows
 RANK_TOL = 1e-10
 # _ipm ends once this many iterates in a row have not lowered the best score
 STALL_WINDOW = 10
-
-STATUS_FEASIBLE = "feasible"
-STATUS_INFEASIBLE = "infeasible"
-STATUS_MARGINAL = "marginal"
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    feas_tol: float = FEAS_TOL
-    ipm_tol: float = 1e-10
-    max_iter: int = 120
-    rank_tol: float = RANK_TOL
-    check_rank: bool = True
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:
@@ -83,6 +73,17 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
             f[c, r] = 1.0j / np.sqrt(2.0)
             out.append(f)
     return out
+
+
+def detect_blocks(mats: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
+    """Partition indices into connected components of the union support."""
+    adj = np.zeros((n, n), dtype=bool)
+    for mat in mats:
+        scale = float(np.abs(mat).max(initial=0.0))
+        if scale > 0:
+            adj |= np.abs(mat) > 1e-14 * scale
+    ncomp, labels = connected_components(csr_matrix(adj), directed=False)
+    return [np.flatnonzero(labels == c) for c in range(ncomp)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +288,9 @@ class IpmResult:
     stop: str = ""
 
 
-def _ipm(prog: BlockProgram, opts: SolveOptions,
-         X0: Optional[list] = None) -> IpmResult:
-    """Predictor-corrector interior-point iteration on the given program.
+def _ipm(prog: BlockProgram, X0: list) -> IpmResult:
+    """Predictor-corrector interior-point iteration on the given program,
+    from the interior start X0.
 
     The blocks of side 1 form one nonnegative diagonal block: the vector x
     with dual slack z and coefficient columns G, handled with vector
@@ -299,14 +300,10 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
     sizes = prog.sizes
     m = prog.num_rows
     ntot = prog.total_dim
-    C = prog.C if prog.C is not None else [np.zeros((s, s), dtype=complex) for s in sizes]
+    C = prog.C
     scale = prog.data_scale()
     normC = max(1.0, np.sqrt(sum(frob(Cb) ** 2 for Cb in C)))
     normb = max(1.0, float(np.linalg.norm(prog.b)))
-
-    if X0 is None:
-        xi = max(1.0, np.sqrt(ntot), float(np.abs(prog.b).max(initial=0.0)))
-        X0 = [xi * np.eye(s, dtype=complex) for s in sizes]
     zeta = max(1.0, normC / np.sqrt(ntot), scale)
 
     mat = [k for k, s in enumerate(sizes) if s > 1]
@@ -337,7 +334,7 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
 
     best: Optional[IpmResult] = None
     stop = "max_iter"
-    for it in range(opts.max_iter):
+    for it in range(MAX_ITER):
         rp = prog.b - psd.apply_A(X) - G @ x
         Rd = [Cb - Ab - Zb for Cb, Ab, Zb in zip(Cm, psd.apply_At(y), Z)]
         rd = c - G.T @ y - z
@@ -354,7 +351,7 @@ def _ipm(prog: BlockProgram, opts: SolveOptions,
         score = max(rel_p, rel_d, rel_gap)
         if best is None or score < max(best.rel_p, best.rel_d, best.rel_gap):
             best = cur
-        if rel_p <= opts.ipm_tol and rel_d <= opts.ipm_tol and rel_gap <= opts.ipm_tol:
+        if rel_p <= IPM_TOL and rel_d <= IPM_TOL and rel_gap <= IPM_TOL:
             best = replace(cur, converged=True)
             stop = "converged"
             break
@@ -441,9 +438,7 @@ class FeasibilityResult:
     t_star: float
     X: Optional[list]          # Y* + t* I on the original blocks
     farkas_y: Optional[np.ndarray]
-    affine_consistent: bool
     ipm: Optional[IpmResult]
-    rank_deficient: bool = False
 
     @property
     def error_bound(self) -> float:
@@ -462,15 +457,15 @@ class FeasibilityResult:
         return self.error_bound <= 0.25 * max(abs(self.t_star), feas_tol)
 
 
-def _affine_start(prog: BlockProgram, opts: SolveOptions):
-    """Minimum-norm Hermitian solution of A(X) = b, or None if inconsistent.
+def _affine_start(prog: BlockProgram):
+    """Minimum-norm Hermitian solution of A(X) = b.
 
     Also reports the residual, whether the system is consistent and whether
-    the Gram matrix is rank deficient beyond rank_tol.
+    the Gram matrix is rank deficient beyond RANK_TOL.
     """
     evals, evecs = prog.gram_eigh
     lam_max = max(float(evals[-1]), 1e-300)
-    keep = evals > opts.rank_tol * lam_max
+    keep = evals > RANK_TOL * lam_max
     rank_deficient = bool(np.any(~keep))
     ginv_b = evecs[:, keep] @ ((evecs[:, keep].T @ prog.b) / evals[keep])
     X0 = prog.apply_At(ginv_b)
@@ -500,24 +495,27 @@ def refine_affine(prog: BlockProgram, X: list) -> list:
     return _hermitize([Xb + Cb for Xb, Cb in zip(X, corr)])
 
 
-def solve_feasibility(prog: BlockProgram,
-                      opts: SolveOptions = SolveOptions()) -> FeasibilityResult:
-    """Decide {X >= 0 : A(X) = b} with certificates, via max lambda_min."""
+def solve_feasibility(prog: BlockProgram) -> FeasibilityResult:
+    """Decide {X >= 0 : A(X) = b} with certificates, via max lambda_min.
+
+    t_star is -inf, with farkas_y the Farkas direction, when A(X) = b has no
+    solution at all; dependent rows raise IllConditionedError.
+    """
     m = prog.num_rows
     if m == 0:
-        return FeasibilityResult(np.inf, prog.identity(), None, True, None)
+        return FeasibilityResult(np.inf, prog.identity(), None, None)
 
-    X0, resid, consistent, rank_deficient = _affine_start(prog, opts)
+    X0, resid, consistent, rank_deficient = _affine_start(prog)
     if not consistent:
         # Farkas certificate for affine inconsistency: the residual direction
         # is orthogonal to range(A), so A*(y) = 0 while b . y < 0
         y = -resid / max(float(np.linalg.norm(resid)), 1e-300)
         if float(prog.b @ y) > 0:
             y = -y
-        return FeasibilityResult(-np.inf, None, y, False, None, rank_deficient)
-    if rank_deficient and opts.check_rank:
+        return FeasibilityResult(-np.inf, None, y, None)
+    if rank_deficient:
         raise IllConditionedError(
-            "constraint Gram matrix is rank deficient beyond rank_tol; "
+            "constraint Gram matrix is rank deficient beyond RANK_TOL; "
             "remove dependent constraints")
 
     t0 = _min_eig(X0) - 1.0
@@ -541,245 +539,10 @@ def solve_feasibility(prog: BlockProgram,
     start += [np.array([[tp0 + 0j]]), np.array([[tm0 + 0j]]),
               np.array([[tmax - tp0 - tm0 + 0j]])]
 
-    res = _ipm(shifted, opts, X0=start)
+    res = _ipm(shifted, start)
     t_star = float(res.X[-3][0, 0].real - res.X[-2][0, 0].real)
     X = [Xb + t_star * np.eye(Xb.shape[0]) for Xb in res.X[: len(prog.sizes)]]
     X = refine_affine(prog, _hermitize(X))
     farkas = -res.y[:m]
-    return FeasibilityResult(t_star, X, farkas, True, res, rank_deficient)
+    return FeasibilityResult(t_star, X, farkas, res)
 
-
-def minimize(prog: BlockProgram, opts: SolveOptions = SolveOptions(),
-             start: Optional[list] = None) -> IpmResult:
-    """min <C, X> over the feasible set; caller ensures feasibility first."""
-    if prog.C is None:
-        raise DimensionError("minimize needs an objective")
-    X0 = None
-    if start is not None:
-        floor = 1e-8 * max(1.0, max(float(np.abs(Xb).max()) for Xb in start))
-        X0 = []
-        for Xb in start:
-            lam = float(np.linalg.eigvalsh(Xb)[0])
-            shift = max(0.0, floor - lam)
-            X0.append(Xb + shift * np.eye(Xb.shape[0]))
-    return _ipm(prog, opts, X0=X0)
-
-
-# ---------------------------------------------------------------------------
-# Public problem type with block detection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SdpProblem:
-    """PSD variable of side psd_side; constraints <F_k, X> = b_k; optional
-    Hermitian objective C meaning maximize <C, X>."""
-
-    psd_side: int
-    constraints: tuple
-    objective: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        cons = []
-        for k, (f, bk) in enumerate(self.constraints):
-            f = np.asarray(f, dtype=complex)
-            if f.shape != (self.psd_side, self.psd_side):
-                raise DimensionError(f"constraint {k} has shape {f.shape}")
-            if not is_hermitian(f):
-                raise DimensionError(f"constraint {k} is not Hermitian")
-            cons.append((f, float(bk)))
-        object.__setattr__(self, "constraints", tuple(cons))
-        if self.objective is not None:
-            c = np.asarray(self.objective, dtype=complex)
-            if c.shape != (self.psd_side, self.psd_side) or not is_hermitian(c):
-                raise DimensionError("objective must be Hermitian of side psd_side")
-            object.__setattr__(self, "objective", c)
-
-
-@dataclass(frozen=True)
-class FarkasCertificate:
-    y: np.ndarray
-    slack: np.ndarray  # sum_k y_k F_k, PSD up to tolerance
-
-
-@dataclass(frozen=True)
-class SdpOutcome:
-    status: str
-    primal: Optional[np.ndarray] = None
-    dual_certificate: Optional[FarkasCertificate] = None
-    objective_value: Optional[float] = None
-    dual_bound: Optional[float] = None
-    margin: float = 0.0
-    iterations: int = 0
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == STATUS_FEASIBLE
-
-    @property
-    def infeasible(self) -> bool:
-        return self.status == STATUS_INFEASIBLE
-
-    @property
-    def marginal(self) -> bool:
-        return self.status == STATUS_MARGINAL
-
-
-def detect_blocks(mats: Sequence[np.ndarray], n: int,
-                  tol: float = 1e-14) -> list[np.ndarray]:
-    """Partition indices into connected components of the union support."""
-    adj = np.zeros((n, n), dtype=bool)
-    for mat in mats:
-        if mat is None:
-            continue
-        scale = float(np.abs(mat).max(initial=0.0))
-        if scale > 0:
-            adj |= np.abs(mat) > tol * scale
-    ncomp, labels = connected_components(csr_matrix(adj), directed=False)
-    return [np.flatnonzero(labels == c) for c in range(ncomp)]
-
-
-def _to_block_program(problem: SdpProblem) -> tuple[BlockProgram, list[np.ndarray]]:
-    n = problem.psd_side
-    mats = [f for f, _ in problem.constraints]
-    if problem.objective is not None:
-        mats = mats + [problem.objective]
-    comps = detect_blocks(mats, n)
-    m = len(problem.constraints)
-    F = []
-    C = [] if problem.objective is not None else None
-    for idx in comps:
-        Fb = np.stack([f[np.ix_(idx, idx)] for f, _ in problem.constraints]) \
-            if m else np.zeros((0, len(idx), len(idx)), dtype=complex)
-        F.append(Fb)
-        if C is not None:
-            C.append(problem.objective[np.ix_(idx, idx)])
-    b = np.array([bk for _, bk in problem.constraints])
-    prog = BlockProgram(sizes=tuple(len(i) for i in comps), F=F, b=b, C=C)
-    return prog, comps
-
-
-def _embed_blocks(blocks: list, comps: list[np.ndarray], n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=complex)
-    for Xb, idx in zip(blocks, comps):
-        out[np.ix_(idx, idx)] = Xb
-    return out
-
-
-def solve(problem: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpOutcome:
-    """Decide feasibility (and optimize when an objective is present).
-
-    The returned certificates always pass verify_outcome; verification runs
-    before returning and raises CertificateError on any mismatch.
-    """
-    prog, comps = _to_block_program(problem)
-    feas = solve_feasibility(prog, opts)
-    n = problem.psd_side
-
-    if not feas.resolves(opts.feas_tol):
-        return SdpOutcome(status=STATUS_MARGINAL, margin=feas.t_star,
-                          iterations=feas.ipm.iterations if feas.ipm else 0)
-
-    if feas.t_star <= -opts.feas_tol or not feas.affine_consistent:
-        y = feas.farkas_y
-        slack = _embed_blocks(prog.apply_At(y), comps, n) if y is not None else None
-        margin = abs(feas.t_star) if np.isfinite(feas.t_star) else \
-            abs(float(prog.b @ y))
-        outcome = SdpOutcome(status=STATUS_INFEASIBLE,
-                             dual_certificate=FarkasCertificate(y=y, slack=slack),
-                             margin=margin,
-                             iterations=feas.ipm.iterations if feas.ipm else 0)
-        verify_outcome(problem, outcome, opts)
-        return outcome
-
-    primal_blocks = feas.X
-    margin = feas.t_star if np.isfinite(feas.t_star) else 1.0
-    iters = feas.ipm.iterations if feas.ipm else 0
-    objective_value = None
-    dual_bound = None
-
-    if problem.objective is not None:
-        # phase two: maximize <C, X> as min <-C, X> from the interior start
-        objprog = BlockProgram(sizes=prog.sizes, F=prog.F, b=prog.b,
-                               C=[-Cb for Cb in
-                                  (problem.objective[np.ix_(i, i)] for i in comps)])
-        res = minimize(objprog, opts, start=primal_blocks)
-        primal_blocks = refine_affine(objprog, res.X)
-        objective_value = float(sum(
-            np.einsum("ij,ji->", -Cb, Xb).real
-            for Cb, Xb in zip(objprog.C, primal_blocks)))
-        dual_bound = -res.dobj
-        margin = _min_eig(primal_blocks)
-        iters += res.iterations
-
-    primal = _embed_blocks(primal_blocks, comps, n)
-    status = STATUS_FEASIBLE
-    if problem.objective is None and abs(feas.t_star) <= opts.feas_tol:
-        # boundary slice: still feasible within tolerance, but flag the
-        # certificate margin honestly
-        residual = np.abs(prog.apply_A(primal_blocks) - prog.b).max(initial=0.0)
-        lam = _min_eig(primal_blocks)
-        if lam < -opts.feas_tol or residual > opts.feas_tol * prog.data_scale():
-            status = STATUS_MARGINAL
-    outcome = SdpOutcome(status=status, primal=primal,
-                         objective_value=objective_value, dual_bound=dual_bound,
-                         margin=margin, iterations=iters)
-    if status != STATUS_MARGINAL:
-        verify_outcome(problem, outcome, opts)
-    return outcome
-
-
-def verify_outcome(problem: SdpProblem, outcome: SdpOutcome,
-                   opts: SolveOptions = SolveOptions()) -> None:
-    """Independent certificate check by direct eigenvalue computation."""
-    scale = max(1.0, max((frob(f) for f, _ in problem.constraints), default=1.0),
-                float(np.abs([bk for _, bk in problem.constraints]).max(initial=0.0)))
-    if outcome.feasible:
-        x = outcome.primal
-        if x is None:
-            raise CertificateError("feasible outcome carries no primal")
-        lam = float(np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0])
-        if lam < -10 * opts.feas_tol * scale:
-            raise CertificateError(f"primal has negative eigenvalue {lam}")
-        for k, (f, bk) in enumerate(problem.constraints):
-            v = float(np.einsum("ij,ij->", f.conj(), x).real)
-            if abs(v - bk) > 10 * opts.feas_tol * scale * max(1.0, frob(x)):
-                raise CertificateError(
-                    f"primal violates constraint {k}: {v} vs {bk}")
-    elif outcome.infeasible:
-        cert = outcome.dual_certificate
-        if cert is None or cert.y is None:
-            raise CertificateError("infeasible outcome carries no Farkas pair")
-        slack = sum(yk * f for yk, (f, _) in zip(cert.y, problem.constraints))
-        sscale = max(1.0, frob(slack))
-        lam = float(np.linalg.eigvalsh((slack + slack.conj().T) / 2.0)[0])
-        val = float(sum(yk * bk for yk, (_, bk) in zip(cert.y, problem.constraints)))
-        if lam < -10 * opts.feas_tol * sscale:
-            raise CertificateError(f"Farkas slack has eigenvalue {lam}")
-        if val >= -0.1 * outcome.margin:
-            raise CertificateError(f"Farkas value {val} is not negative enough")
-
-
-def max_mineig(m0: np.ndarray, m1: np.ndarray, lo: float, hi: float,
-               tol: float = 1e-9) -> tuple[float, float]:
-    """Maximize lambda_min(M0 + t M1) for t in [lo, hi] by ternary search.
-
-    lambda_min of an affine Hermitian family is concave in t.
-    """
-    if lo > hi:
-        raise DimensionError("max_mineig needs lo <= hi")
-    m0 = np.asarray(m0, dtype=complex)
-    m1 = np.asarray(m1, dtype=complex)
-
-    def g(t: float) -> float:
-        return float(np.linalg.eigvalsh(m0 + t * m1)[0])
-
-    a, b = float(lo), float(hi)
-    while b - a > tol:
-        u = a + (b - a) / 3.0
-        v = b - (b - a) / 3.0
-        if g(u) < g(v):
-            a = u
-        else:
-            b = v
-    t = (a + b) / 2.0
-    return t, g(t)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from matrange.matcore import MatrixTuple, compress, direct_sum_all
 
@@ -95,3 +96,48 @@ def blockdiag_instance(rng, case):
                  for n in sizes]
     order = rng.permutation(len(parts))
     return direct_sum_all([parts[i] for i in order])
+
+
+def square_halfspaces(dim=2):
+    """The halfspaces +-x_j <= 1 of the cube [-1, 1]^dim."""
+    out = []
+    for j in range(dim):
+        for sign in (1.0, -1.0):
+            a = [0.0] * dim
+            a[j] = sign
+            out.append((tuple(a), 1.0))
+    return out
+
+
+def level1_hull_samples(t, num_random=100_000, num_angles=360, seed=0):
+    """Samples of the first level of a d=2 Hermitian tuple: quadratic forms
+    v* H v over random unit vectors, enriched with extreme eigenvectors of
+    directional combinations so the hull boundary is covered."""
+    assert t.d == 2 and t.is_hermitian, "level-1 sampling expects a Hermitian pair"
+    h1, h2 = t.mats[0], t.mats[1]
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((num_random, t.n)) + 1j * rng.standard_normal(
+        (num_random, t.n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    xs = np.einsum("ki,ij,kj->k", v.conj(), h1, v).real
+    ys = np.einsum("ki,ij,kj->k", v.conj(), h2, v).real
+    extra = []
+    for theta in np.linspace(0, 2 * np.pi, num_angles, endpoint=False):
+        m = np.cos(theta) * h1 + np.sin(theta) * h2
+        _, vecs = np.linalg.eigh(m)
+        for w in (vecs[:, 0], vecs[:, -1]):
+            extra.append((float((w.conj() @ h1 @ w).real),
+                          float((w.conj() @ h2 @ w).real)))
+    return np.vstack([np.stack([xs, ys], axis=1), np.array(extra)])
+
+
+def planar_hull_verdict(samples, point, band=1e-3):
+    """Point-in-hull test over sampled level-1 points: "in", "out", or
+    "band" when within the stated distance of the hull boundary."""
+    hull = ConvexHull(samples)
+    eqs = hull.equations  # rows a.x + b <= 0 inside
+    vals = eqs[:, :2] @ np.asarray(point) + eqs[:, 2]
+    worst = float(vals.max())
+    if abs(worst) <= band:
+        return "band"
+    return "in" if worst < 0 else "out"

@@ -12,10 +12,7 @@ from matrange.convexity import (
     PolytopeBody,
     exposing_pencil,
     inclusion,
-    level1_hull_samples,
     membership,
-    planar_hull_verdict,
-    square_halfspaces,
     validate_separator,
     validate_witness,
     vertex_tuple,
@@ -34,7 +31,15 @@ from matrange.extreme import (
     recover_unitary,
 )
 from matrange.matcore import MatrixTuple, compress, conjugate, direct_sum_all
-from conftest import blockdiag_instance, crucial_family, rand_herm, rand_unitary
+from conftest import (
+    blockdiag_instance,
+    crucial_family,
+    level1_hull_samples,
+    planar_hull_verdict,
+    rand_herm,
+    rand_unitary,
+    square_halfspaces,
+)
 
 SZ = np.diag([1.0 + 0j, -1.0])
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

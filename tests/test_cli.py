@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from matrange.cli import EXIT_MARGINAL, EXIT_NO, EXIT_YES, load_tuple, main
+from matrange.cli import EXIT_ERROR, EXIT_MARGINAL, EXIT_NO, EXIT_YES, load_tuple, main
 from matrange.errors import DimensionError, ParseError
 from matrange.matcore import MatrixTuple, direct_sum_all, tuple_to_dict, tuple_to_json
 
@@ -108,6 +108,18 @@ def test_env_override_and_flag_precedence(tmp_path, pauli_file, monkeypatch,
     # explicit flag wins over the environment
     assert main(["--boundary", "in", "member", "--point", pt,
                  "--range", pauli_file]) == EXIT_YES
+
+
+@pytest.mark.parametrize("name, value", [("MATRANGE_TOL", "abc"),
+                                         ("MATRANGE_SEED", "1.5")])
+def test_malformed_env_default_is_a_usage_error(name, value, bary_file,
+                                                simplex_file, monkeypatch, capsys):
+    monkeypatch.setenv(name, value)
+    assert main(["member", "--point", bary_file,
+                 "--range", simplex_file]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and "error:" in err
 
 
 def test_minimize_report(tmp_path, capsys):

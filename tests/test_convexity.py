@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrange.convexity import (
+    ChoiCertificate,
     Pencil,
     PolytopeBody,
     choi_of_compression,
     exposing_pencil,
     hull_vertices,
     inclusion,
-    level1_hull_samples,
     membership,
-    planar_hull_verdict,
     polytope_from_dict,
     separating_pencil,
-    square_halfspaces,
     validate_separator,
     validate_witness,
     vertex_tuple,
@@ -27,7 +26,15 @@ from matrange.errors import (
     NotSeparableError,
 )
 from matrange.matcore import MatrixTuple, compress, conjugate, direct_sum, direct_sum_all
-from conftest import rand_herm, rand_isometry, rand_tuple, rand_unitary
+from conftest import (
+    level1_hull_samples,
+    planar_hull_verdict,
+    rand_herm,
+    rand_isometry,
+    rand_tuple,
+    rand_unitary,
+    square_halfspaces,
+)
 
 SZ = np.diag([1.0 + 0j, -1.0])
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -167,6 +174,55 @@ def test_membership_unitary_invariance(rng):
             membership(out_pt, PAULI).status
 
 
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(n=st.integers(2, 4), m=st.integers(1, 2), out=st.booleans(),
+       push=st.floats(0.05, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_membership_status_is_invariant_under_conjugation(n, m, out, push, seed):
+    # an In point mixes a compression with the range's centre; an Out point
+    # lifts coordinate 0 of a compression past lambda_max of the range's by
+    # push, which no UCP image reaches
+    rng = np.random.default_rng(seed)
+    if out:
+        # a level-2 Out point can come back Marginal in either frame; see
+        # test_level2_out_point_with_a_singular_unitality_block
+        m = 1
+    t = rand_tuple(2, n, rng, hermitian=True)
+    pt = compress(t, rand_isometry(n, m, rng))
+    if out:
+        lift = np.linalg.eigvalsh(t.mats[0])[-1] + push \
+            - np.linalg.eigvalsh(pt.mats[0])[0]
+        pt = MatrixTuple.from_mats([pt.mats[0] + lift * np.eye(m), pt.mats[1]])
+    else:
+        centre = [np.trace(h).real / n * np.eye(m) for h in t.mats]
+        pt = MatrixTuple.from_mats([0.7 * p + 0.3 * c
+                                    for p, c in zip(pt.mats, centre)])
+    t_conj = conjugate(t, rand_unitary(n, rng))
+    pt_conj = conjugate(pt, rand_unitary(m, rng))
+    verdicts = [membership(pt, t), membership(pt_conj, t_conj)]
+    assert [v.status for v in verdicts] == ["out" if out else "in"] * 2
+    if out:
+        validate_separator(verdicts[0].separator, t, pt)
+        validate_separator(verdicts[1].separator, t_conj, pt_conj)
+
+
+@pytest.mark.xfail(strict=True, reason="_farkas_pencil normalizes by the "
+                   "inverse square root of a nearly singular unitality block")
+def test_level2_out_point_with_a_singular_unitality_block():
+    # coordinate 0 lifted 0.5 past the range's lambda_max: t* = -1.17, but
+    # the unitality block Z_0 of the Farkas multipliers has eigenvalues
+    # 2.4e-11 and 0.5, and the pencil normalized by Z_0^(-1/2) exceeds 1
+    # on the range by 4.7e-4, so the verdict is Marginal
+    rng = np.random.default_rng(2)
+    t = rand_tuple(2, 2, rng, hermitian=True)
+    pt = compress(t, rand_isometry(2, 2, rng))
+    lift = np.linalg.eigvalsh(t.mats[0])[-1] + 0.5 \
+        - np.linalg.eigvalsh(pt.mats[0])[0]
+    pt = MatrixTuple.from_mats([pt.mats[0] + lift * np.eye(2), pt.mats[1]])
+    t_conj = conjugate(t, rand_unitary(2, rng))
+    pt_conj = conjugate(pt, rand_unitary(2, rng))
+    assert membership(pt_conj, t_conj).is_out
+
+
 def test_membership_wmax_corner_pair():
     alpha = 0.2
     x = np.cos(alpha)
@@ -253,6 +309,27 @@ def test_separating_pencil_requires_out():
     with pytest.raises(NotSeparableError) as exc:
         separating_pencil(PAULI, MatrixTuple.scalar_point([0.1, 0.1]))
     assert exc.value.status == "in"
+
+
+@pytest.mark.parametrize("corruption, message", [
+    ("negative", "eigenvalue"), ("not_unital", "unital"),
+    ("wrong_point", "interpolation")],
+    ids=["negative", "not_unital", "wrong_point"])
+def test_validate_witness_rejects_a_corrupted_witness(corruption, message, rng):
+    t = rand_tuple(2, 4, rng, hermitian=True)
+    v = rand_isometry(4, 2, rng)
+    point = compress(t, v)
+    cert = choi_of_compression(v)
+    validate_witness(cert, t.mats, point.mats)
+    if corruption == "negative":
+        cert = ChoiCertificate(cert.choi - 1e-3 * np.eye(8), cert.map_dims)
+        assert cert.min_eig() < -1e-4
+    elif corruption == "not_unital":
+        cert = ChoiCertificate(1.01 * cert.choi, cert.map_dims)
+    else:
+        point = compress(t, rand_isometry(4, 2, rng))
+    with pytest.raises(CertificateError, match=message):
+        validate_witness(cert, t.mats, point.mats)
 
 
 def test_validate_separator_needs_the_point_above_the_range():

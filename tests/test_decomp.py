@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrange import decomp
 from matrange.decomp import (
@@ -15,7 +16,7 @@ from matrange.decomp import (
     unitary_equivalent,
 )
 from matrange.errors import DegenerateSpectrumError, NonIrreducibleInputError
-from matrange.matcore import MatrixTuple, conjugate, direct_sum, direct_sum_all
+from matrange.matcore import MatrixTuple, conjugate, direct_sum, direct_sum_all, frob
 from conftest import blockdiag_instance, rand_herm, rand_tuple, rand_unitary
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -291,3 +292,21 @@ def test_equivalence_check_uses_the_caller_decomp_tol(rng):
     dec = irreducible_decomposition(t, decomp_tol=2e-9)
     assert [(b.n, m) for b, m in dec.blocks] == [(3, 2)]
     assert dec.reassembly_residual() <= 2e-9 * max(1.0, np.linalg.norm(t.mats))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(planted=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
+                        min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_decompose_recovers_planted_blocks(planted, seed):
+    # random Hermitian pairs, each repeated by its multiplicity, summed and
+    # conjugated by a random unitary
+    rng = np.random.default_rng(seed)
+    blocks = [MatrixTuple.from_mats([rand_herm(n, rng) for _ in range(2)])
+              for n, _ in planted]
+    parts = [b for b, (_, mult) in zip(blocks, planted) for _ in range(mult)]
+    summed = direct_sum_all(parts)
+    t = conjugate(summed, rand_unitary(summed.n, rng))
+    dec = irreducible_decomposition(t)
+    assert sorted((b.n, mult) for b, mult in dec.blocks) == sorted(planted)
+    assert dec.reassembly_residual() <= decomp.DECOMP_TOL * max(1.0, frob(t.mats))

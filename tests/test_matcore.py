@@ -48,12 +48,6 @@ def test_herm_split_nilpotent_reconstructs():
     np.testing.assert_allclose(back.mats[0], a, atol=1e-15)
 
 
-def test_herm_split_drop_zero():
-    t = MatrixTuple.from_mats([np.diag([1.0, 2.0])])
-    s = herm_split(t, drop_zero=True)
-    assert s.d == 1
-
-
 def test_herm_split_reconstruction_random(rng):
     for _ in range(20):
         t = rand_tuple(3, 4, rng)

@@ -3,21 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matrange import sdp
-from matrange.convexity import _choi_program, _shared_coords, build_frame
-from matrange.errors import CertificateError, DimensionError, IllConditionedError
-from matrange.matcore import MatrixTuple, compress, direct_sum_all
-from matrange.sdp import (
-    BlockProgram,
-    SolveOptions,
-    SdpOutcome,
-    SdpProblem,
-    detect_blocks,
-    hermitian_basis,
-    max_mineig,
-    solve,
-    solve_feasibility,
-    verify_outcome,
-)
+from matrange.convexity import FEAS_TOL, _choi_program, _shared_coords, build_frame
+from matrange.errors import IllConditionedError
+from matrange.matcore import MatrixTuple, compress, direct_sum_all, frob
+from matrange.sdp import BlockProgram, detect_blocks, hermitian_basis, solve_feasibility
 from conftest import rand_herm, rand_isometry, rand_tuple
 
 
@@ -32,102 +21,85 @@ def test_hermitian_basis_orthonormal():
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-14
 
 
+def _program(*constraints):
+    """One dense block with the rows <F_k, X> = b_k."""
+    F = np.stack([np.asarray(f, dtype=complex) for f, _ in constraints])
+    b = np.array([float(bk) for _, bk in constraints])
+    return BlockProgram(sizes=(F.shape[1],), F=[F], b=b)
+
+
+def _feasible(prog):
+    """Solve a one-block program whose slice meets the PSD cone and check the
+    primal certificate: t* resolved and not below -FEAS_TOL, X PSD within
+    FEAS_TOL and on the slice within FEAS_TOL of the data scale."""
+    r = solve_feasibility(prog)
+    assert r.resolves(FEAS_TOL) and r.t_star >= -FEAS_TOL
+    x = r.X[0]
+    assert np.linalg.eigvalsh(x)[0] >= -FEAS_TOL
+    rows = np.einsum("kij,ij->k", prog.F[0].conj(), x).real
+    assert np.abs(rows - prog.b).max() <= FEAS_TOL * prog.data_scale()
+    return r
+
+
+def _infeasible(prog):
+    """Solve a one-block program whose slice misses the PSD cone and check
+    the Farkas pair: S = sum_k y_k F_k PSD and b . y < -|t*| / 10 < 0."""
+    r = solve_feasibility(prog)
+    assert r.resolves(FEAS_TOL) and r.t_star < -FEAS_TOL
+    y = r.farkas_y
+    slack = np.einsum("k,kij->ij", y, prog.F[0])
+    assert np.linalg.eigvalsh(slack)[0] >= -10 * FEAS_TOL * max(1.0, frob(slack))
+    assert float(prog.b @ y) < -0.1 * abs(r.t_star)
+    return r
+
+
 def test_feasible_boundary_example():
-    p = SdpProblem(psd_side=2,
-                   constraints=((np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0)))
-    out = solve(p)
-    assert out.feasible
-    np.testing.assert_allclose(out.primal, np.diag([1.0, 0.0]), atol=1e-7)
+    r = _feasible(_program((np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0)))
+    assert abs(r.t_star) <= FEAS_TOL
+    np.testing.assert_allclose(r.X[0], np.diag([1.0, 0.0]), atol=1e-7)
 
 
 def test_inconsistent_linear_system():
-    p = SdpProblem(psd_side=2, constraints=((np.eye(2), 1.0), (2 * np.eye(2), 4.0)))
-    out = solve(p)
-    assert out.infeasible
-    y = out.dual_certificate.y
+    r = solve_feasibility(_program((np.eye(2), 1.0), (2 * np.eye(2), 4.0)))
+    assert r.t_star == -np.inf and r.X is None and r.ipm is None
+    y = r.farkas_y
     # Farkas: sum y_k F_k = 0 here, with y . b < 0
     assert abs(y[0] + 2 * y[1]) < 1e-10
     assert y[0] + 4 * y[1] < -1e-3
 
 
-def test_optimization_example():
-    p = SdpProblem(psd_side=2, constraints=((np.eye(2), 1.0),),
-                   objective=np.diag([1.0, 0.0]))
-    out = solve(p)
-    assert out.feasible
-    assert abs(out.objective_value - 1.0) <= 1e-7
-
-
 def test_psd_infeasible_with_farkas():
-    p = SdpProblem(psd_side=2,
-                   constraints=((np.diag([1.0, 0.0]), -1.0), (np.eye(2), 1.0)))
-    out = solve(p)
-    assert out.infeasible
-    assert out.margin > 0.5
-    slack = sum(yk * f for yk, (f, _) in zip(out.dual_certificate.y,
-                                             p.constraints))
+    r = _infeasible(_program((np.diag([1.0, 0.0]), -1.0), (np.eye(2), 1.0)))
+    assert -r.t_star > 0.5
+    slack = r.farkas_y[0] * np.diag([1.0, 0.0]) + r.farkas_y[1] * np.eye(2)
     assert np.linalg.eigvalsh(slack)[0] > -1e-8
-    val = sum(yk * bk for yk, (_, bk) in zip(out.dual_certificate.y, p.constraints))
-    assert val < -1e-3
+    assert -r.farkas_y[0] + r.farkas_y[1] < -1e-3
 
 
 def test_feasible_interior_margin():
     # X = I/2 is interior: tr X = 1 on side 2 allows lambda_min up to 1/2
-    p = SdpProblem(psd_side=2, constraints=((np.eye(2), 1.0),))
-    out = solve(p)
-    assert out.feasible
-    assert abs(out.margin - 0.5) <= 1e-6
+    r = _feasible(_program((np.eye(2), 1.0)))
+    assert abs(r.t_star - 0.5) <= 1e-6
 
 
-def test_weak_duality_on_random_instances(rng):
-    for _ in range(5):
-        n = 3
-        c = rand_herm(n, rng)
-        cons = [(np.eye(n, dtype=complex), 1.0)]
-        for _ in range(2):
-            cons.append((rand_herm(n, rng), float(rng.uniform(-0.2, 0.2))))
-        p = SdpProblem(psd_side=n, constraints=tuple(cons), objective=c)
-        out = solve(p)
-        if out.feasible:
-            assert out.objective_value <= out.dual_bound + 1e-6 * max(
-                1.0, abs(out.objective_value))
-
-
-def test_scaling_invariance_of_status(rng):
+def test_scaling_invariance_of_status():
     cons = ((np.eye(2), 1.0), (np.diag([1.0, -1.0]), 0.4))
-    base = solve(SdpProblem(psd_side=2, constraints=cons))
+    base = _feasible(_program(*cons))
+    assert base.t_star > FEAS_TOL
     for c in (1e-3, 7.0, 1e3):
-        scaled = tuple((c * f, c * b) for f, b in cons)
-        out = solve(SdpProblem(psd_side=2, constraints=scaled))
-        assert out.status == base.status
+        scaled = _feasible(_program(*((c * f, c * b) for f, b in cons)))
+        assert scaled.t_star > FEAS_TOL
 
 
 def test_rank_deficiency_raises():
     h = np.diag([1.0, -1.0])
-    p = SdpProblem(psd_side=2,
-                   constraints=((h, 0.1), (2 * h, 0.2), (np.eye(2), 1.0)))
     with pytest.raises(IllConditionedError):
-        solve(p)
+        solve_feasibility(_program((h, 0.1), (2 * h, 0.2), (np.eye(2), 1.0)))
 
 
 def test_determinism():
-    p = SdpProblem(psd_side=3,
-                   constraints=((np.eye(3), 1.0),
-                                (np.diag([1.0, -1.0, 0.0]), 0.3)),
-                   objective=np.diag([1.0, 0.0, -1.0]))
-    o1 = solve(p)
-    o2 = solve(p)
-    assert o1.status == o2.status
-    np.testing.assert_array_equal(o1.primal, o2.primal)
-
-
-def test_verifier_rejects_corrupt_primal():
-    p = SdpProblem(psd_side=2, constraints=((np.eye(2), 1.0),))
-    out = solve(p)
-    bad = SdpOutcome(status="feasible", primal=np.diag([5.0, 5.0]),
-                     margin=out.margin)
-    with pytest.raises(CertificateError):
-        verify_outcome(p, bad)
+    prog = _program((np.eye(3), 1.0), (np.diag([1.0, -1.0, 0.0]), 0.3))
+    _assert_same_solve(solve_feasibility(prog), solve_feasibility(prog))
 
 
 def test_block_detection():
@@ -144,64 +116,46 @@ def test_block_detection():
     assert sorted(len(c) for c in comps) == [1, 2]
 
 
-def test_block_structured_solve(rng):
-    # two independent 2x2 blocks with separate trace constraints
+def test_block_structured_solve():
+    # two independent 2x2 blocks with separate trace constraints, split along
+    # the detected support (down to scalars: the constraints are diagonal)
+    # and embedded back
     f1 = np.zeros((4, 4), dtype=complex)
     f1[:2, :2] = np.eye(2)
     f2 = np.zeros((4, 4), dtype=complex)
     f2[2:, 2:] = np.eye(2)
-    p = SdpProblem(psd_side=4, constraints=((f1, 1.0), (f2, 2.0)))
-    out = solve(p)
-    assert out.feasible
-    assert abs(np.trace(out.primal[:2, :2]).real - 1.0) < 1e-7
-    assert abs(np.trace(out.primal[2:, 2:]).real - 2.0) < 1e-7
-    assert np.abs(out.primal[:2, 2:]).max() < 1e-12
+    comps = detect_blocks([f1, f2], 4)
+    prog = BlockProgram(sizes=tuple(len(c) for c in comps),
+                        F=[np.stack([f[np.ix_(c, c)] for f in (f1, f2)])
+                           for c in comps],
+                        b=np.array([1.0, 2.0]))
+    r = solve_feasibility(prog)
+    assert r.resolves(FEAS_TOL) and r.t_star > FEAS_TOL
+    x = np.zeros((4, 4), dtype=complex)
+    for xb, c in zip(r.X, comps):
+        x[np.ix_(c, c)] = xb
+    assert np.linalg.eigvalsh(x)[0] > 0
+    assert abs(np.trace(x[:2, :2]).real - 1.0) < 1e-7
+    assert abs(np.trace(x[2:, 2:]).real - 2.0) < 1e-7
+    assert np.abs(x[:2, 2:]).max() < 1e-12
 
 
-def test_max_mineig_linear():
-    t, lam = max_mineig(np.diag([1.0, -1.0]), np.eye(2), -2.0, 2.0)
-    assert abs(t - 2.0) <= 1e-6
-    assert abs(lam - 1.0) <= 1e-6
-
-
-def test_max_mineig_zero():
-    t, lam = max_mineig(np.zeros((2, 2)), np.zeros((2, 2)), -1.0, 1.0)
-    assert abs(lam) < 1e-12
-
-
-def test_max_mineig_grid_oracle(rng):
-    m0 = rand_herm(4, rng)
-    m1 = rand_herm(4, rng)
-    t, lam = max_mineig(m0, m1, -1.0, 1.0)
-    grid = np.arange(-1.0, 1.0 + 1e-9, 1e-4)
-    vals = [np.linalg.eigvalsh(m0 + g * m1)[0] for g in grid]
-    best = max(vals)
-    assert lam >= best - 1e-7
-
-
-def test_max_mineig_bad_interval():
-    with pytest.raises(DimensionError):
-        max_mineig(np.eye(2), np.eye(2), 1.0, 0.0)
-
-
-def test_complex_hermitian_native(rng):
+def test_complex_hermitian_native():
     # constraints with genuinely complex entries
     h = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-    p = SdpProblem(psd_side=2, constraints=((np.eye(2), 1.0), (h, 0.9)))
-    out = solve(p)
-    assert out.feasible
-    v = np.einsum("ij,ij->", h.conj(), out.primal).real
+    r = _feasible(_program((np.eye(2), 1.0), (h, 0.9)))
+    assert r.t_star > FEAS_TOL
+    v = np.einsum("ij,ij->", h.conj(), r.X[0]).real
     assert abs(v - 0.9) < 1e-7
 
 
 def test_marginal_infeasibility_band():
-    # b slightly outside the attainable set: |t*| below feas_tol -> feasible
-    # at tolerance, beyond it -> infeasible
+    # b just outside the attainable set is infeasible by more than
+    # FEAS_TOL, and just inside it feasible by more than FEAS_TOL
     h = np.diag([1.0, -1.0])
-    out = solve(SdpProblem(psd_side=2, constraints=((np.eye(2), 1.0), (h, 1.0 + 1e-4))))
-    assert out.infeasible
-    out = solve(SdpProblem(psd_side=2, constraints=((np.eye(2), 1.0), (h, 1.0 - 1e-4))))
-    assert out.feasible
+    _infeasible(_program((np.eye(2), 1.0), (h, 1.0 + 1e-4)))
+    r = _feasible(_program((np.eye(2), 1.0), (h, 1.0 - 1e-4)))
+    assert r.t_star > FEAS_TOL
 
 
 def test_solve_feasibility_no_rows():
@@ -242,7 +196,7 @@ def test_stalled_choi_solve_stops_after_its_best_iterate(monkeypatch):
     r = solve_feasibility(prog)
     assert r.ipm.stop == "stalled" and not r.ipm.converged
     assert r.ipm.iterations_run <= r.ipm.iterations + 1 + sdp.STALL_WINDOW
-    monkeypatch.setattr(sdp, "STALL_WINDOW", SolveOptions().max_iter)
+    monkeypatch.setattr(sdp, "STALL_WINDOW", sdp.MAX_ITER)
     full = solve_feasibility(prog)
     assert full.ipm.iterations_run > r.ipm.iterations_run
     _assert_same_solve(r, full)
@@ -254,7 +208,7 @@ def test_converged_solve_ignores_the_stall_window(monkeypatch):
     r = solve_feasibility(prog)
     assert r.ipm.stop == "converged" and r.ipm.converged
     assert r.ipm.iterations_run == r.ipm.iterations + 1
-    monkeypatch.setattr(sdp, "STALL_WINDOW", SolveOptions().max_iter)
+    monkeypatch.setattr(sdp, "STALL_WINDOW", sdp.MAX_ITER)
     _assert_same_solve(r, solve_feasibility(prog))
 
 
