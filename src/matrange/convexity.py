@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import _jsonutil
 from .decomp import commutant_dim, irreducible_decomposition
@@ -689,6 +688,10 @@ def polytope_from_dict(doc: dict) -> PolytopeBody:
 
 
 def _in_hull(point: np.ndarray, pts: np.ndarray, tol: float = 1e-9) -> bool:
+    # imported here: only the polytope commands reach a linear program, and
+    # scipy.optimize is the slowest import of the package
+    from scipy.optimize import linprog
+
     if len(pts) == 0:
         return False
     a_eq = np.vstack([pts.T, np.ones(len(pts))])
@@ -776,6 +779,8 @@ def _halfspace_pencil(a: np.ndarray, b: float, k: PolytopeBody) -> Pencil:
 
 
 def _chebyshev_center(k: PolytopeBody) -> np.ndarray:
+    from scipy.optimize import linprog
+
     if k.vertices:
         return np.mean(np.array(k.vertices), axis=0)
     k.require_halfspaces()

@@ -2,12 +2,19 @@
 
 The commutant of a tuple is the *-algebra of matrices commuting with every
 coordinate and its adjoint; its dimension is 1 exactly when the tuple is
-irreducible.  Decomposition draws a seeded random Hermitian element of the
-commutant, splits along its eigenspaces and recurses, then groups the
+irreducible.  Decomposition splits a tuple on the eigenspaces of a seeded
+random Hermitian element of its commutant and recurses, then groups the
 resulting blocks into unitary equivalence classes with multiplicities
 (the *-algebra splitting of Murota, Kanno, Kojima and Kojima, "A numerical
 algorithm for block-diagonal decomposition of matrix *-algebras", 2010).
-The result is checked to reassemble the input before it is returned.
+Each split proposes the commutant from the eigenspaces of a random real
+combination H of the Hermitian coordinates: every commutant element
+commutes with H, so it is solved for on H's diagonal blocks only (as in
+Maehara and Murota, "Algorithm for error-controlled simultaneous
+block-diagonalization of matrices", 2011).  When that finds nothing beyond
+the identity, the dense commutant system confirms it, so a block is left
+whole exactly when the dense system finds it irreducible.  The result is
+checked to reassemble the input before it is returned.
 """
 
 from __future__ import annotations
@@ -33,20 +40,29 @@ EQUIV_TOL = 1e-6
 MARGINAL_FACTOR = 10.0
 
 
-def _commutant_system(a: MatrixTuple, b: MatrixTuple) -> np.ndarray:
-    """Coefficient matrix of {X : X B_j = A_j X, X B_j* = A_j* X} on vec(X).
+def _commutant_system(a: MatrixTuple, b: MatrixTuple,
+                      support: Optional[tuple] = None) -> np.ndarray:
+    """Coefficient matrix of {X : X B_j = A_j X, X B_j* = A_j* X}.
 
-    Column-major vec convention: vec(AXB) = (B^T kron A) vec(X).
-    X maps the space of B into the space of A, so X is a.n-by-b.n.
+    X maps the space of B into the space of A, so X is a.n-by-b.n.  The
+    unknowns are the entries X[p_i, q_i] for the index arrays (p, q) of
+    support; by default all entries, in column-major vec order.  Rows are
+    the column-major vec of each residual X B - A X, for the coordinates
+    A_1, A_1*, A_2, A_2*, ...
     """
-    ia = np.eye(a.n)
-    ib = np.eye(b.n)
-    rows = []
-    for j in range(a.d):
-        am, bm = a.mats[j], b.mats[j]
-        rows.append(np.kron(bm.T, ia) - np.kron(ib, am))
-        rows.append(np.kron(bm.conj(), ia) - np.kron(ib, am.conj().T))
-    return np.vstack(rows)
+    if support is None:
+        q, p = np.divmod(np.arange(a.n * b.n), a.n)
+    else:
+        p, q = support
+    am, bm = (np.stack([m.mats, m.mats.conj().transpose(0, 2, 1)], axis=1)
+              .reshape(-1, m.n, m.n) for m in (a, b))
+    cols = np.arange(len(p))
+    # axes (coordinate, residual column s, residual row r, unknown)
+    k = np.zeros((len(am), b.n, a.n, len(p)), dtype=complex)
+    # (E_pq B)[r, s] = [r = p] B[q, s] and (A E_pq)[r, s] = A[r, p] [s = q]
+    k[:, :, p, cols] = bm[:, q, :].transpose(0, 2, 1)
+    k[:, q, :, cols] -= am[:, :, p].transpose(2, 0, 1)
+    return k.reshape(-1, len(p))
 
 
 def _null_space(k: np.ndarray, rtol: float) -> np.ndarray:
@@ -128,23 +144,29 @@ def unitary_equivalent(a: MatrixTuple, b: MatrixTuple,
         raise NonIrreducibleInputError("first tuple has commutant dimension > 1")
     if not is_irreducible(b, decomp_tol):
         raise NonIrreducibleInputError("second tuple has commutant dimension > 1")
+    uu, err = _intertwiner(a, b)
+    return uu if err <= equiv_tol else None
+
+
+def _intertwiner(a: MatrixTuple, b: MatrixTuple) -> tuple[Optional[np.ndarray], float]:
+    """The candidate unitary for irreducible a and b, and its error.
+
+    The error is the larger of the intertwiner system's smallest singular
+    value and the candidate's residual max_j ||U* A_j U - B_j||, over
+    max(1, scale(a) scale(b)); it is inf when no candidate exists.
+    """
     if a.n != b.n:
-        return None
+        return None, np.inf
     k = _commutant_system(a, b)
     _, s, vh = np.linalg.svd(k, full_matrices=False)
-    scale = max(1.0, a.scale() * b.scale())
-    if s[-1] > equiv_tol * scale:
-        return None
     x = vh[-1].conj().reshape(a.n, a.n).T
     # Schur: X*X lies in the commutant of B, hence is a positive scalar
     c = float(np.trace(x.conj().T @ x).real) / a.n
     if c <= 0:
-        return None
+        return None, np.inf
     uu = x / np.sqrt(c)
     resid = max(frob(uu.conj().T @ a.mats[j] @ uu - b.mats[j]) for j in range(a.d))
-    if resid > equiv_tol * scale:
-        return None
-    return uu
+    return uu, max(float(s[-1]), resid) / max(1.0, a.scale() * b.scale())
 
 
 def dedup(blocks: Sequence[MatrixTuple],
@@ -191,13 +213,49 @@ class BlockDecomposition:
         }
 
 
+def _cluster_labels(vals: np.ndarray, gap: float) -> np.ndarray:
+    """Cluster index of each ascending eigenvalue; a new cluster starts
+    wherever neighbours lie more than gap apart."""
+    return np.concatenate([[0], np.cumsum(np.diff(vals) > gap)])
+
+
+def _eigenspace_commutant(t: MatrixTuple, rng: np.random.Generator,
+                          decomp_tol: float) -> list[np.ndarray]:
+    """Basis of the commutant solved on the eigenspaces of a random real
+    combination H of the Hermitian coordinates.
+
+    Every commutant element commutes with H, so it is block diagonal on
+    H's eigenspaces, and only those blocks are unknowns: sum k_i^2 columns
+    in place of n^2.  The rows are those of the dense system in H's
+    eigenbasis, a unitary change, so by interlacing this never finds more
+    elements than commutant_basis, and each commutes within its bound.
+    """
+    g = np.tensordot(rng.standard_normal(2 * t.d), t.herm_form, axes=1)
+    vals, v = np.linalg.eigh(g)
+    label = _cluster_labels(vals, decomp_tol * max(1.0, frob(g)))
+    p, q = np.nonzero(label[:, None] == label[None, :])
+    rotated = MatrixTuple(v.conj().T @ t.mats @ v)
+    basis = _null_space(_commutant_system(rotated, rotated, (p, q)), decomp_tol)
+    x = np.zeros((basis.shape[1], t.n, t.n), dtype=complex)
+    x[:, p, q] = basis.T
+    return list(v @ x @ v.conj().T)
+
+
 def _split_once(t: MatrixTuple, rng: np.random.Generator,
                 decomp_tol: float) -> Optional[list[np.ndarray]]:
     """Isometries onto the eigenspaces of one random Hermitian commutant
-    element, or None if the tuple is irreducible."""
-    basis = commutant_basis(t, decomp_tol)
+    element, or None if the tuple is irreducible.
+
+    The commutant is first solved on the eigenspaces of a random
+    coordinate combination; when that finds no element beyond the
+    identity, the dense system confirms it, so a tuple is a leaf exactly
+    when commutant_basis calls it irreducible.
+    """
+    basis = _eigenspace_commutant(t, rng, decomp_tol)
     if len(basis) <= 1:
-        return None
+        basis = commutant_basis(t, decomp_tol)
+        if len(basis) <= 1:
+            return None
     herm = _hermitian_commutant_basis(basis)
     for _ in range(8):
         coeffs = rng.standard_normal(len(herm))
@@ -207,15 +265,9 @@ def _split_once(t: MatrixTuple, rng: np.random.Generator,
         if nrm < 1e-12:
             continue
         vals, vecs = np.linalg.eigh(e)
-        gap = decomp_tol * max(1.0, nrm)
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, len(vals)):
-            if vals[i] - vals[i - 1] <= gap:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        if len(clusters) > 1:
-            return [vecs[:, idx] for idx in clusters]
+        label = _cluster_labels(vals, decomp_tol * max(1.0, nrm))
+        if label[-1] > 0:
+            return [vecs[:, label == i] for i in range(label[-1] + 1)]
     raise DegenerateSpectrumError(
         "commutant is nontrivial but no eigenvalue split resolved at decomp_tol")
 
@@ -286,15 +338,14 @@ def _decompose_once(t: MatrixTuple, rng: np.random.Generator,
         near: list[int] = []
         for ci, cls in enumerate(classes):
             rep = cls["rep"]
-            if rep.n != blk.n:
-                continue
-            u = unitary_equivalent(blk, rep, equiv_tol, decomp_tol)
-            if u is not None and frob(u.conj().T @ blk.mats @ u - rep.mats) <= bound:
+            # both are leaves, which the dense system already found
+            # irreducible, so unitary_equivalent's own checks are skipped
+            u, err = _intertwiner(blk, rep)
+            if err <= equiv_tol and frob(u.conj().T @ blk.mats @ u - rep.mats) <= bound:
                 cls["members"].append((v, u))
                 placed = True
                 break
-            if u is not None or unitary_equivalent(
-                    blk, rep, equiv_tol * MARGINAL_FACTOR, decomp_tol) is not None:
+            if err <= equiv_tol * MARGINAL_FACTOR:
                 near.append(ci)
         if not placed:
             marginal.extend((ci, len(classes)) for ci in near)

@@ -250,3 +250,14 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_YES
     assert json.loads(proc.stdout)["status"] == "fully_compressed"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize is the slowest import and only the polytope commands
+    # solve a linear program, so they import it when they need it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, matrange.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

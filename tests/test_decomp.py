@@ -267,12 +267,17 @@ def test_decompose_near_equivalent_pair_keeps_summands_apart():
     assert dec.reassembly_residual() <= _tol(t)
 
 
+def _coupled_pauli_point(eps):
+    """A Pauli pair and a point joined by eps in the first coordinate."""
+    mats = np.array(direct_sum(PAULI, MatrixTuple.scalar_point([2.0, 0.5])).mats)
+    mats[0, 0, 2] = mats[0, 2, 0] = eps
+    return MatrixTuple(mats)
+
+
 def test_caller_decomp_tol_decides_reducibility():
     # a Pauli pair and a point coupled by 1e-6: irreducible at the default
     # decomp_tol, a direct sum of the two within 1e-4
-    mats = np.array(direct_sum(PAULI, MatrixTuple.scalar_point([2.0, 0.5])).mats)
-    mats[0, 0, 2] = mats[0, 2, 0] = 1e-6
-    t = MatrixTuple(mats)
+    t = _coupled_pauli_point(1e-6)
     assert [(b.n, m) for b, m in irreducible_decomposition(t).blocks] == [(3, 1)]
     dec = irreducible_decomposition(t, decomp_tol=1e-4)
     assert sorted((b.n, m) for b, m in dec.blocks) == [(1, 1), (2, 1)]
@@ -284,9 +289,7 @@ def test_equivalence_check_uses_the_caller_decomp_tol(rng):
     # decomp_tol=2e-9 and reducible at the default 1e-8; two conjugate
     # copies group into one class when the equivalence check runs at the
     # caller's tolerance (at the default it raised NonIrreducibleInputError)
-    mats = np.array(direct_sum(PAULI, MatrixTuple.scalar_point([2.0, 0.5])).mats)
-    mats[0, 0, 2] = mats[0, 2, 0] = 2e-8
-    blk = MatrixTuple(mats)
+    blk = _coupled_pauli_point(2e-8)
     assert not is_irreducible(blk) and is_irreducible(blk, 2e-9)
     t = direct_sum(blk, conjugate(blk, rand_unitary(3, rng)))
     dec = irreducible_decomposition(t, decomp_tol=2e-9)
@@ -310,3 +313,102 @@ def test_decompose_recovers_planted_blocks(planted, seed):
     dec = irreducible_decomposition(t)
     assert sorted((b.n, mult) for b, mult in dec.blocks) == sorted(planted)
     assert dec.reassembly_residual() <= decomp.DECOMP_TOL * max(1.0, frob(t.mats))
+
+
+def test_dense_commutant_runs_only_on_leaves(monkeypatch):
+    rng = np.random.default_rng(24)
+    planted = [3, 2, 1, 1, 1]
+    blocks = [MatrixTuple.from_mats([rand_herm(3, rng) for _ in range(2)])
+              for _ in planted]
+    summed = direct_sum_all([b for b, m in zip(blocks, planted) for _ in range(m)])
+    t = conjugate(summed, rand_unitary(summed.n, rng))
+    sides = []
+    real_basis = decomp.commutant_basis
+
+    def recorded(a, *args):
+        sides.append(a.n)
+        return real_basis(a, *args)
+
+    monkeypatch.setattr(decomp, "commutant_basis", recorded)
+    dec = irreducible_decomposition(t)
+    assert t.n == 24 and sides and max(sides) <= 3
+    assert sorted(m for _, m in dec.blocks) == sorted(planted)
+    for blk, m in dec.blocks:
+        assert any(unitary_equivalent(blk, b) is not None
+                   for b, pm in zip(blocks, planted) if pm == m)
+    assert dec.reassembly_residual() <= _tol(t)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_confirm_splits_a_near_commutant_off_the_eigenspaces(seed):
+    # reducible at decomp_tol=1e-8 for the dense system, while the
+    # eigenspace system finds only the identity: the near-commutant is not
+    # aligned with the eigenspaces, so the dense confirm step must split it
+    blk = _coupled_pauli_point(2e-8)
+    assert not is_irreducible(blk)
+    t = conjugate(blk, rand_unitary(3, np.random.default_rng(seed)))
+    dec = irreducible_decomposition(t, seed=seed)
+    assert sorted((b.n, m) for b, m in dec.blocks) == [(1, 1), (2, 1)]
+    assert dec.reassembly_residual() <= _tol(t)
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(planted=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
+                        min_size=1, max_size=3),
+       coupling=st.sampled_from([0.0, 1e-10, 1e-8, 1e-6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigenspace_commutant_is_within_the_dense_one(planted, coupling, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [MatrixTuple.from_mats([rand_herm(n, rng) for _ in range(2)])
+              for n, _ in planted]
+    parts = [b for b, (_, mult) in zip(blocks, planted) for _ in range(mult)]
+    mats = np.array(direct_sum_all(parts).mats)
+    # couple the first and last basis vectors, across blocks when there are two
+    mats[0, 0, -1] += coupling
+    mats[0, -1, 0] += coupling
+    t = conjugate(MatrixTuple(mats), rand_unitary(mats.shape[1], rng))
+    basis = decomp._eigenspace_commutant(t, rng, decomp.DECOMP_TOL)
+    assert 1 <= len(basis) <= commutant_dim(t)
+    dense_scale = max(1.0, np.linalg.norm(decomp._commutant_system(t, t), 2))
+    coords = list(t.mats) + [m.conj().T for m in t.mats]
+    for x in basis:
+        assert abs(frob(x) - 1.0) <= 1e-12
+        resid = np.sqrt(sum(frob(x @ m - m @ x) ** 2 for m in coords))
+        assert resid <= decomp.DECOMP_TOL * dense_scale
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tight_decomp_tol_refuses_or_answers_correctly(seed):
+    # two conjugate copies of a block that is irreducible at 1e-12 only by
+    # a 1e-10 coupling: the answer may be refused, never wrong
+    blk = _coupled_pauli_point(1e-10)
+    rng = np.random.default_rng(seed)
+    t = direct_sum(blk, conjugate(blk, rand_unitary(3, rng)))
+    try:
+        dec = irreducible_decomposition(t, seed=seed, decomp_tol=1e-12)
+    except DegenerateSpectrumError:
+        return
+    assert dec.reassembly_residual() <= 1e-12 * max(1.0, frob(t.mats))
+    assert all(is_irreducible(b, 1e-12) for b, _ in dec.blocks)
+
+
+def _kron_commutant_system(a, b):
+    """The commutant system as Kronecker products, column-major vec."""
+    ia, ib = np.eye(a.n), np.eye(b.n)
+    rows = []
+    for am, bm in zip(a.mats, b.mats):
+        rows.append(np.kron(bm.T, ia) - np.kron(ib, am))
+        rows.append(np.kron(bm.conj(), ia) - np.kron(ib, am.conj().T))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("na, nb, d", [(1, 1, 2), (3, 3, 2), (4, 2, 3), (2, 5, 1)])
+def test_commutant_system_matches_the_kron_reference(na, nb, d, rng):
+    a, b = rand_tuple(d, na, rng), rand_tuple(d, nb, rng)
+    dense = decomp._commutant_system(a, b)
+    assert np.array_equal(dense, _kron_commutant_system(a, b))
+    # a support selects the columns of the unknowns X[p, q]
+    p = rng.integers(0, na, 5)
+    q = rng.integers(0, nb, 5)
+    assert np.array_equal(decomp._commutant_system(a, b, (p, q)),
+                          dense[:, p + na * q])
