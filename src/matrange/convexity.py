@@ -594,6 +594,11 @@ def exposing_pencil(summands: Sequence[MatrixTuple], index: int, *,
         raise NoGapError(
             "no exposing gap: summand is inside the hull of the others "
             f"({exc})") from exc
+    return _expose(pencil, y, others, feas_tol)
+
+
+def _expose(pencil, y, others, feas_tol) -> tuple[Pencil, float]:
+    """Rescale a separator of y from the others to touch y at 1: (pencil, eps)."""
     lam_y = pencil.max_eig(y)
     scaled = Pencil(coeffs=pencil.coeffs / lam_y, offset=pencil.offset / lam_y,
                     level=pencil.level, hermitian_input=pencil.hermitian_input)

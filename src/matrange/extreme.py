@@ -2,9 +2,9 @@
 
 A matrix tuple is minimal exactly when it is multiplicity-free and every
 irreducible summand is crucial: outside the matrix range generated by the
-other summands.  Minimal presentations of the same matrix range are
-unitarily equivalent, and the unitary is recovered here by matching
-summands through their intertwiners.
+other summands.  Each distinct summand is classified once, and redundant
+ones are absorbed one at a time.  Minimal presentations of the same range
+are unitarily equivalent; the unitary is recovered by intertwiners.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from .convexity import (
     MembershipVerdict,
     Pencil,
     PolytopeBody,
+    _expose,
     assemble_output_blocks,
     choi_of_compression,
-    exposing_pencil,
+    exposing_pencil,  # unused here; bench/spans.py wraps it at this name
     hull_vertices,
     membership,
     validate_witness,
@@ -142,66 +143,63 @@ def classify_crucial(index: int, summands: Sequence[MatrixTuple], *,
 
 def minimal_presentation(t: MatrixTuple, seed: int = 0, *,
                          feas_tol: float = FEAS_TOL,
-                         boundary: str = BOUNDARY_IN,
-                         compute_gaps: bool = True) -> MinimalReport:
-    """Decompose, strip multiplicities, then remove redundant summands one
-    at a time until every remaining summand is crucial; finally verify that
-    the matrix range was preserved by validating mutual inclusion
-    certificates."""
+                         boundary: str = BOUNDARY_IN) -> MinimalReport:
+    """Decompose, strip multiplicities, classify each distinct summand once
+    against the others and absorb the redundant ones one at a time; finally
+    verify that the matrix range was preserved by validating mutual inclusion
+    certificates.  A summand outside the range of all the others is outside
+    that of any subset, so its one verdict certifies it against the result."""
     dec = irreducible_decomposition(t, seed=seed)
+    duplicates = [SummandReport(summand=blk, status=REDUNDANT_DUPLICATE)
+                  for blk, mult in dec.blocks for _ in range(mult - 1)]
 
-    working: list[MatrixTuple] = [blk for blk, _ in dec.blocks]
-    duplicates: list[SummandReport] = []
-    for blk, mult in dec.blocks:
-        for _ in range(mult - 1):
-            duplicates.append(SummandReport(summand=blk,
-                                            status=REDUNDANT_DUPLICATE))
+    blocks = sorted((blk for blk, _ in dec.blocks), key=canonical_key)
+    verdicts = [classify_crucial(i, blocks, feas_tol=feas_tol,
+                                 boundary=boundary)[1]
+                for i in range(len(blocks))]
 
-    absorbed: list[MatrixTuple] = []
-    while len(working) > 1:
-        redundant: list[tuple[float, int]] = []
-        for i in range(len(working)):
-            status, verdict = classify_crucial(i, working, feas_tol=feas_tol,
-                                               boundary=boundary)
-            if status == REDUNDANT:
-                redundant.append((verdict.margin, i))
-        if not redundant:
-            break
-        # drop the most interior summand first, then re-classify
-        _, drop = max(redundant)
-        absorbed.append(working.pop(drop))
+    # Drop the most interior summand first.  Once one is dropped, classify
+    # each later candidate again against the summands still kept: two
+    # near-equivalent summands each absorb the other, and only one may go.
+    kept = list(range(len(blocks)))
+    absorbed: list[int] = []
+    for _, i in sorted(((v.margin, i) for i, v in enumerate(verdicts)
+                        if v.is_in), reverse=True):
+        if absorbed:
+            verdicts[i] = classify_crucial(
+                kept.index(i), [blocks[k] for k in kept], feas_tol=feas_tol,
+                boundary=boundary)[1]
+        if verdicts[i].is_in:
+            kept.remove(i)
+            absorbed.append(i)
 
-    working.sort(key=canonical_key)
+    working = [blocks[k] for k in kept]
     minimal = direct_sum_all(working)
 
     summand_reports: list[SummandReport] = []
-    for i, blk in enumerate(working):
-        status, verdict = classify_crucial(i, working, feas_tol=feas_tol,
-                                           boundary=boundary)
-        if status != CRUCIAL:
-            raise IndeterminateError(
-                "fixed point lost cruciality on re-classification")
-        gap: Optional[float] = None
-        if compute_gaps:
-            try:
-                _, gap = exposing_pencil(working, i, feas_tol=feas_tol)
-            except NoGapError:
-                gap = None
+    for k in kept:
+        others = [blocks[j] for j in kept if j != k]
+        try:
+            gap = _expose(verdicts[k].separator, blocks[k], others,
+                          feas_tol)[1] if others else 1.0
+        except NoGapError:
+            gap = None
         summand_reports.append(SummandReport(
-            summand=blk, status=CRUCIAL, exposing_gap=gap,
-            separator=verdict.separator, margin=verdict.margin))
+            summand=blocks[k], status=CRUCIAL, exposing_gap=gap,
+            separator=verdicts[k].separator, margin=verdicts[k].margin))
 
-    # re-certify every absorbed summand directly against the minimal tuple
-    absorbed_reports: list[SummandReport] = []
-    for blk in absorbed:
-        verdict = membership(blk, minimal, feas_tol=feas_tol, boundary=boundary)
-        if not verdict.is_in:
+    # only the last absorbed summand was classified against the minimal tuple
+    for k in absorbed[:-1]:
+        verdicts[k] = membership(blocks[k], minimal, feas_tol=feas_tol,
+                                 boundary=boundary)
+        if not verdicts[k].is_in:
             raise IndeterminateError(
                 "absorbed summand failed re-certification against the "
                 "minimal tuple")
-        absorbed_reports.append(SummandReport(
-            summand=blk, status=REDUNDANT_ABSORBED, witness=verdict.witness,
-            margin=verdict.margin))
+    absorbed_reports = [SummandReport(
+        summand=blocks[k], status=REDUNDANT_ABSORBED,
+        witness=verdicts[k].witness, margin=verdicts[k].margin)
+        for k in absorbed]
 
     verified, witnesses = _verify_range_preserved(
         t, dec, working, absorbed_reports, minimal, feas_tol)
@@ -270,13 +268,11 @@ def _verify_range_preserved(t, dec, working, absorbed_reports, minimal,
 
 
 def is_fully_compressed(t: MatrixTuple, seed: int = 0, *,
-                        feas_tol: float = FEAS_TOL,
-                        compute_gaps: bool = True) -> tuple[bool, MinimalReport]:
+                        feas_tol: float = FEAS_TOL) -> tuple[bool, MinimalReport]:
     """A block-diagonalizable tuple is fully compressed iff its minimal
-    presentation keeps every summand: multiplicity-free with all summands
-    crucial."""
-    report = minimal_presentation(t, seed=seed, feas_tol=feas_tol,
-                                  compute_gaps=compute_gaps)
+    presentation keeps every summand: it is multiplicity-free, and when each
+    distinct summand is classified once, none is absorbed."""
+    report = minimal_presentation(t, seed=seed, feas_tol=feas_tol)
     return report.is_trivial(), report
 
 
@@ -301,12 +297,10 @@ def recover_unitary(s: MatrixTuple, t: MatrixTuple, seed: int = 0, *,
     """
     if s.d != t.d:
         raise DimensionError("tuples must share the coordinate count")
-    ok_s, rep_s = is_fully_compressed(s, seed=seed, feas_tol=feas_tol,
-                                      compute_gaps=False)
+    ok_s, rep_s = is_fully_compressed(s, seed=seed, feas_tol=feas_tol)
     if not ok_s:
         raise NotMinimalError("first tuple is not minimal")
-    ok_t, rep_t = is_fully_compressed(t, seed=seed, feas_tol=feas_tol,
-                                      compute_gaps=False)
+    ok_t, rep_t = is_fully_compressed(t, seed=seed, feas_tol=feas_tol)
     if not ok_t:
         raise NotMinimalError("second tuple is not minimal")
 

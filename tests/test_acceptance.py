@@ -162,7 +162,7 @@ def test_criterion_4_block_diagonal_equivalence():
     for run in range(runs):
         t = blockdiag_instance(rng, run)
         try:
-            flag, _ = is_fully_compressed(t, seed=run, compute_gaps=False)
+            flag, _ = is_fully_compressed(t, seed=run)
         except IndeterminateError:
             continue
         direct = _direct_definition_fully_compressed(t, seed=run)

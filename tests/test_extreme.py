@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from matrange.convexity import PolytopeBody, membership, validate_witness
+from matrange import convexity
+from matrange.convexity import (
+    PolytopeBody,
+    exposing_pencil,
+    membership,
+    validate_witness,
+)
 from matrange.decomp import canonical_key
 from matrange.errors import (
     NotEquivalentError,
@@ -19,7 +25,7 @@ from matrange.extreme import (
     wmin_minimal_tuple,
 )
 from matrange.matcore import MatrixTuple, compress, conjugate, direct_sum_all
-from conftest import rand_herm, rand_unitary
+from conftest import crucial_family, rand_herm, rand_unitary
 
 SZ = np.diag([1.0 + 0j, -1.0])
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -132,6 +138,73 @@ def test_verified_witnesses_revalidate():
     input_in_minimal, minimal_in_input = rep.inclusion_witnesses
     validate_witness(input_in_minimal, rep.minimal.mats, t.mats)
     validate_witness(minimal_in_input, t.mats, rep.minimal.mats)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the Choi feasibility solves run while the test body runs."""
+    count = [0]
+    solve = convexity.solve_feasibility
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(convexity, "solve_feasibility", counted)
+    return count
+
+
+def test_each_distinct_summand_is_classified_once(rng, solves):
+    summands = crucial_family(rng, [1, 1, 1, 2, 2])
+    duplicate = conjugate(summands[3], rand_unitary(2, rng))
+    t = direct_sum_all(summands + [duplicate])
+    t = conjugate(t, rand_unitary(t.n, rng))
+    solves[0] = 0
+    rep = minimal_presentation(t, seed=15)
+    assert rep.verified
+    assert len(rep.crucial) == 5
+    assert solves[0] <= 5
+
+    solves[0] = 0
+    rep = minimal_presentation(direct_sum_all(VERTS + [BARY]), seed=16)
+    assert rep.verified
+    assert solves[0] <= 4
+
+
+def test_two_summands_absorbed_in_one_call(solves):
+    t = direct_sum_all(VERTS + [BARY, MatrixTuple.scalar_point((0.2, 0.1))])
+    rep = minimal_presentation(t, seed=17)
+    assert rep.verified
+    crucial_pts = sorted(tuple(np.round(b.mats[:, 0, 0].real, 9))
+                         for b in rep.crucial)
+    assert crucial_pts == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+    assert [s.status for s in rep.removed] == [REDUNDANT_ABSORBED] * 2
+    for s in rep.removed:
+        validate_witness(s.witness, rep.minimal.mats, s.summand.mats)
+    assert solves[0] <= 7
+
+
+@pytest.mark.parametrize("far_point", [False, True])
+def test_near_equivalent_pair_keeps_one_summand(far_point):
+    """Each summand of the pair lies within feas_tol of the other's range,
+    so both classify In; only one of them may be absorbed."""
+    pair = [MatrixTuple.from_mats([SX, SZ]),
+            MatrixTuple.from_mats([SX + 1e-7 * SZ, SZ])]
+    extra = [MatrixTuple.scalar_point((5.0, 5.0))] if far_point else []
+    rep = minimal_presentation(direct_sum_all(pair + extra), seed=18)
+    assert rep.verified
+    pair_statuses = sorted(s.status for s in rep.summands if s.summand.n == 2)
+    assert pair_statuses == [CRUCIAL, REDUNDANT_ABSORBED]
+    assert len(rep.crucial) == 1 + len(extra)
+
+
+def test_exposing_gaps_reuse_the_classification_separator(rng):
+    summands = crucial_family(rng, [1, 2, 2])
+    t = conjugate(direct_sum_all(summands), rand_unitary(5, rng))
+    rep = minimal_presentation(t, seed=19)
+    assert rep.is_trivial()
+    for i, s in enumerate(rep.summands):
+        assert s.exposing_gap == exposing_pencil(rep.crucial, i)[1]
 
 
 def test_is_fully_compressed_cases(rng):
