@@ -38,6 +38,12 @@ from .sdp import (
 
 FEAS_TOL = 1e-7
 VALIDATE_TOL = 1e-6
+# A Choi solve ends on an Out verdict only once its certified bracket
+# [lo, hi] on t* is this narrow relative to |hi|: the first pencil that
+# validates can be shallow (the level-2 square-against-Pauli separator
+# violates by 0.4015 there, against 0.4142 at the optimum), and exposing
+# gaps are rescaled from these separators.
+SEPARATOR_WIDTH = 1e-3
 
 IN = "in"
 OUT = "out"
@@ -384,11 +390,15 @@ def _pad_pencil(p: Pencil, level: int) -> Pencil:
 # ---------------------------------------------------------------------------
 
 def validate_witness(cert: ChoiCertificate, range_coords: np.ndarray,
-                     point_coords: np.ndarray, tol: float = VALIDATE_TOL) -> None:
+                     point_coords: np.ndarray, tol: float = VALIDATE_TOL,
+                     feas_tol: float = FEAS_TOL) -> None:
+    """Raise CertificateError unless the Choi matrix is PSD within
+    10 feas_tol ||C||_F, unital and interpolating within tol times the
+    data scale."""
     scale = max(1.0, float(np.abs(range_coords).max()),
                 float(np.abs(point_coords).max()))
     lam = cert.min_eig()
-    if lam < -10 * FEAS_TOL * max(1.0, frob(cert.choi)):
+    if lam < -10 * feas_tol * max(1.0, frob(cert.choi)):
         raise CertificateError(f"Choi witness has eigenvalue {lam}")
     if cert.unitality_residual() > tol * scale:
         raise CertificateError("Choi witness is not unital within tolerance")
@@ -458,6 +468,13 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
     separating pencil at the level of the point; boundary cases within
     feas_tol resolve to In under boundary="in" (ranges are closed) and to
     Marginal under boundary="marginal".
+
+    A Choi solve ends at the first iterate whose certified bracket
+    [lo, hi] on t* settles the verdict with a certificate that validates,
+    and `margin` is then that certified bound: lo for In, -hi
+    for Out.  Otherwise the solve runs until it converges or stalls and
+    `margin` is its t*; a Marginal verdict's `detail` then holds the
+    returned iterate's bracket and the solver's stop reason.
     """
     point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
 
@@ -479,7 +496,8 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
     if boundary == BOUNDARY_IN:
         fast = _fast_subblock_witness(point, rng_t)
         if fast is not None:
-            validate_witness(fast, range_coords, point_coords)
+            validate_witness(fast, range_coords, point_coords,
+                             feas_tol=feas_tol)
             return MembershipVerdict(status=IN, margin=0.0, witness=fast,
                                      detail={"witness_path": "subblock"})
 
@@ -488,32 +506,64 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
                                        feas_tol, boundary)
 
     prog, comps, m = _choi_program(range_coords, point_coords, frame)
-    feas = solve_feasibility(prog)
+    settled = []
+
+    def settle(X, y, lo, hi) -> bool:
+        """In once lo > feas_tol and the witness from X validates; Out once
+        hi < -feas_tol, the bracket is SEPARATOR_WIDTH-narrow and the pencil
+        from y validates."""
+        if lo > feas_tol:
+            cert = _assemble_choi(X, comps, rng_t.n, m)
+            try:
+                validate_witness(cert, range_coords, point_coords,
+                                 feas_tol=feas_tol)
+            except CertificateError:
+                return False
+            settled.append(MembershipVerdict(status=IN, margin=lo, witness=cert))
+        elif hi < -feas_tol and hi - lo <= SEPARATOR_WIDTH * abs(hi):
+            pencil = _farkas_pencil(y, frame, m, hi)
+            try:
+                _, at_point = validate_separator(pencil, rng_t, point)
+            except CertificateError:
+                return False
+            settled.append(MembershipVerdict(
+                status=OUT, margin=-hi, separator=pencil,
+                separator_violation=at_point - 1.0))
+        return bool(settled)
+
+    feas = solve_feasibility(prog, settle)
+    if settled:
+        return settled[0]
     t_star = feas.t_star
+    lo, hi = feas.bracket
+    solve = {"bracket": [lo, hi], "stop": feas.ipm.stop if feas.ipm else None}
     if not feas.resolves(feas_tol):
         return MembershipVerdict(status=MARGINAL, margin=t_star,
-                                 detail={"solver_stalled": True})
+                                 detail={"solver_stalled": True, **solve})
 
     if t_star > feas_tol:
         cert = _assemble_choi(feas.X, comps, rng_t.n, m)
-        validate_witness(cert, range_coords, point_coords)
+        validate_witness(cert, range_coords, point_coords, feas_tol=feas_tol)
         return MembershipVerdict(status=IN, margin=t_star, witness=cert)
     if t_star >= -feas_tol:
         if boundary == BOUNDARY_IN and feas.X is not None:
             cert = _assemble_choi(feas.X, comps, rng_t.n, m)
             try:
-                validate_witness(cert, range_coords, point_coords)
+                validate_witness(cert, range_coords, point_coords,
+                                 feas_tol=feas_tol)
             except CertificateError:
-                return MembershipVerdict(status=MARGINAL, margin=t_star)
+                return MembershipVerdict(status=MARGINAL, margin=t_star,
+                                         detail=solve)
             return MembershipVerdict(status=IN, margin=t_star, witness=cert)
-        return MembershipVerdict(status=MARGINAL, margin=t_star)
+        return MembershipVerdict(status=MARGINAL, margin=t_star, detail=solve)
 
     pencil = _farkas_pencil(feas.farkas_y, frame, m, t_star)
     try:
         _, at_point = validate_separator(pencil, rng_t, point)
     except CertificateError:
         return MembershipVerdict(status=MARGINAL, margin=t_star,
-                                 detail={"separator_failed_validation": True})
+                                 detail={"separator_failed_validation": True,
+                                         **solve})
     return MembershipVerdict(status=OUT, margin=abs(t_star), separator=pencil,
                              separator_violation=at_point - 1.0)
 
@@ -542,14 +592,15 @@ def _membership_split_point(point, rng_t, point_coords, range_coords,
                                      separator_violation=at_point - 1.0,
                                      detail={"out_summand_size": blk.n})
         if sub.is_marginal:
-            return MembershipVerdict(status=MARGINAL, margin=sub.margin)
+            return MembershipVerdict(status=MARGINAL, margin=sub.margin,
+                                     detail=sub.detail)
         worst = min(worst, sub.margin)
         for _ in range(mult):
             w = u[:, offset : offset + blk.n]
             pieces.append((sub.witness, w))
             offset += blk.n
     cert = assemble_output_blocks(rng_t.n, point.n, pieces)
-    validate_witness(cert, range_coords, point_coords)
+    validate_witness(cert, range_coords, point_coords, feas_tol=feas_tol)
     return MembershipVerdict(status=IN, margin=worst, witness=cert,
                              detail={"witness_path": "point_split"})
 

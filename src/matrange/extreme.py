@@ -260,8 +260,10 @@ def _verify_range_preserved(t, dec, working, absorbed_reports, minimal,
     v = np.hstack(sel_cols)
     minimal_in_input = choi_of_compression(v)
     try:
-        validate_witness(input_in_minimal, minimal.mats, t.mats)
-        validate_witness(minimal_in_input, t.mats, minimal.mats)
+        validate_witness(input_in_minimal, minimal.mats, t.mats,
+                         feas_tol=feas_tol)
+        validate_witness(minimal_in_input, t.mats, minimal.mats,
+                         feas_tol=feas_tol)
     except CertificateError:
         return False, ()
     return True, (input_in_minimal, minimal_in_input)

@@ -31,13 +31,22 @@ ill-conditioned and the residuals grow again after that iterate, so the
 loop also ends, as SDPT3 does on lack of progress, once STALL_WINDOW
 iterates in a row have not lowered the best score; such a stalled run
 returns its best iterate unconverged.
+
+Every iterate of the shifted program also brackets t* with certified
+bounds (Jansson, Chaykin and Keil, "Rigorous error bounds for the optimal
+value in semidefinite programming", 2007): lambda_min of the iterate's
+primal point projected onto the slice is a lower bound, and its dual
+multipliers, lifted to a PSD A*(y) along the unitality combination w with
+A*(w) = I, give an upper bound.  A caller that needs only a verdict passes
+solve_feasibility a `settle` check of that bracket, and the run ends
+"certified" at the first iterate the check accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -172,6 +181,19 @@ class BlockProgram:
         """Eigendecomposition of the Gram matrix, computed once per program."""
         return np.linalg.eigh(self.gram())
 
+    @cached_property
+    def unitality(self) -> Optional[np.ndarray]:
+        """w = G^+ A(I), the row combination with A*(w) = I, or None when
+        A*(w) misses I beyond rounding.  Every Choi program has one, its
+        unitality rows."""
+        evals, evecs = self.gram_eigh
+        keep = evals > RANK_TOL * max(float(evals[-1]), 1e-300)
+        a = self.apply_A(self.identity())
+        w = evecs[:, keep] @ ((evecs[:, keep].T @ a) / evals[keep])
+        miss = max(float(np.abs(Sb - I).max())
+                   for Sb, I in zip(self.apply_At(w), self.identity()))
+        return w if miss <= 1e-10 * max(1.0, float(np.abs(w).max())) else None
+
     def schur(self, X: list, W: list) -> np.ndarray:
         """M[k, l] = Re tr(F_k X F_l W) over the blocks.
 
@@ -238,10 +260,12 @@ def _inverse_factor(Xb: np.ndarray) -> np.ndarray:
 
 
 def _min_eigenvalue(S: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; LAPACK's heevr computes
-    only that one, after the same tridiagonal reduction as eigvalsh."""
-    heevr, = sla.get_lapack_funcs(("heevr",), (S,))
-    w, _, _, _, info = heevr(S, compute_v=0, range="I", il=1, iu=1)
+    """Smallest eigenvalue of a Hermitian matrix; LAPACK's heevr (syevr
+    for real input) computes only that one, after the same tridiagonal
+    reduction as eigvalsh."""
+    evr, = sla.get_lapack_funcs(
+        ("heevr" if np.iscomplexobj(S) else "syevr",), (S,))
+    w, _, _, _, info = evr(S, compute_v=0, range="I", il=1, iu=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"heevr failed with info={info}")
     return float(w[0])
@@ -268,10 +292,12 @@ class IpmResult:
 
     `iterations` is the index of the iterate.  On the returned one,
     `iterations_run` is the number of iterates the loop evaluated and `stop`
-    says why the loop ended: "converged", "stalled" (STALL_WINDOW iterates
-    in a row without a lower score), "max_iter", "short_step" (even a
-    centering step was too short) or "factorization" (a Cholesky factor of
-    X, Z or the Schur complement could not be formed).
+    says why the loop ended: "converged", "certified" (the caller's settle
+    check accepted this iterate, which is returned in place of the best),
+    "stalled" (STALL_WINDOW iterates in a row without a lower score),
+    "max_iter", "short_step" (even a centering step was too short) or
+    "factorization" (a Cholesky factor of X, Z or the Schur complement
+    could not be formed).
     """
 
     X: list
@@ -288,9 +314,11 @@ class IpmResult:
     stop: str = ""
 
 
-def _ipm(prog: BlockProgram, X0: list) -> IpmResult:
+def _ipm(prog: BlockProgram, X0: list,
+         settle: Optional[Callable[[IpmResult], bool]] = None) -> IpmResult:
     """Predictor-corrector interior-point iteration on the given program,
-    from the interior start X0.
+    from the interior start X0.  `settle`, when given, sees every iterate
+    that has not converged, and the loop ends at the first it accepts.
 
     The blocks of side 1 form one nonnegative diagonal block: the vector x
     with dual slack z and coefficient columns G, handled with vector
@@ -354,6 +382,10 @@ def _ipm(prog: BlockProgram, X0: list) -> IpmResult:
         if rel_p <= IPM_TOL and rel_d <= IPM_TOL and rel_gap <= IPM_TOL:
             best = replace(cur, converged=True)
             stop = "converged"
+            break
+        if settle is not None and settle(cur):
+            best = cur
+            stop = "certified"
             break
         if it - best.iterations >= STALL_WINDOW:
             stop = "stalled"
@@ -435,10 +467,16 @@ def _ipm(prog: BlockProgram, X0: list) -> IpmResult:
 
 @dataclass
 class FeasibilityResult:
+    """`X` is Y + tI of the returned iterate projected onto the slice and
+    `farkas_y` the Farkas direction: the iterate's dual multipliers, lifted
+    to a PSD A*(y) when the run ended certified.  `bracket` is the
+    certified [lo, hi] on t* at the returned iterate."""
+
     t_star: float
-    X: Optional[list]          # Y* + t* I on the original blocks
+    X: Optional[list]
     farkas_y: Optional[np.ndarray]
     ipm: Optional[IpmResult]
+    bracket: tuple = (-np.inf, np.inf)
 
     @property
     def error_bound(self) -> float:
@@ -495,11 +533,37 @@ def refine_affine(prog: BlockProgram, X: list) -> list:
     return _hermitize([Xb + Cb for Xb, Cb in zip(X, corr)])
 
 
-def solve_feasibility(prog: BlockProgram) -> FeasibilityResult:
+def _bracket(prog: BlockProgram, t: float, Xs: list, y: np.ndarray) -> tuple:
+    """(X, y', lo, hi) at one iterate (Xs, y) of the shifted program with
+    shift t: X = Xs + tI projected onto the slice, so lo = lambda_min(X) <= t*;
+    y' = y_f + s w with y_f = -y[:m], s = max(0, -lambda_min A*(y_f)) and w
+    the unitality combination, so A*(y') >= 0 and, for every X on the slice,
+    b.y' = <A*(y'), X> >= lambda_min(X) tr A*(y'), whence t* <= hi =
+    b.y' / tr A*(y').  hi is inf when the program has no unitality
+    combination."""
+    X = refine_affine(prog, _hermitize([Xb + t * np.eye(Xb.shape[0]) for Xb in Xs]))
+    lo = min(_min_eigenvalue(Xb) for Xb in X)
+    yf = -y[: prog.num_rows]
+    w = prog.unitality
+    if w is None:
+        return X, yf, lo, np.inf
+    S = _hermitize(prog.apply_At(yf))
+    s = max(0.0, -min(_min_eigenvalue(Sb) for Sb in S))
+    tr = sum(float(np.trace(Sb).real) for Sb in S) + s * prog.total_dim
+    yp = yf + s * w
+    return X, yp, lo, float(prog.b @ yp) / tr if tr > 0 else np.inf
+
+
+def solve_feasibility(prog: BlockProgram,
+                      settle: Optional[Callable[..., bool]] = None
+                      ) -> FeasibilityResult:
     """Decide {X >= 0 : A(X) = b} with certificates, via max lambda_min.
 
     t_star is -inf, with farkas_y the Farkas direction, when A(X) = b has no
-    solution at all; dependent rows raise IllConditionedError.
+    solution at all; dependent rows raise IllConditionedError.  `settle`,
+    when given, is called as settle(X, y', lo, hi) with each iterate's
+    _bracket, and the run ends "certified" at the first call that returns
+    True, with that iterate's X and y' as `X` and `farkas_y`.
     """
     m = prog.num_rows
     if m == 0:
@@ -539,10 +603,26 @@ def solve_feasibility(prog: BlockProgram) -> FeasibilityResult:
     start += [np.array([[tp0 + 0j]]), np.array([[tm0 + 0j]]),
               np.array([[tmax - tp0 - tm0 + 0j]])]
 
-    res = _ipm(shifted, start)
-    t_star = float(res.X[-3][0, 0].real - res.X[-2][0, 0].real)
-    X = [Xb + t_star * np.eye(Xb.shape[0]) for Xb in res.X[: len(prog.sizes)]]
-    X = refine_affine(prog, _hermitize(X))
-    farkas = -res.y[:m]
-    return FeasibilityResult(t_star, X, farkas, res)
+    k = len(prog.sizes)
+
+    def shift(r: IpmResult) -> float:
+        return float(r.X[-3][0, 0].real - r.X[-2][0, 0].real)
+
+    certified = []
+
+    def check(r: IpmResult) -> bool:
+        found = _bracket(prog, shift(r), r.X[:k], r.y)
+        if settle(*found):
+            certified.append(found)
+            return True
+        return False
+
+    res = _ipm(shifted, start, None if settle is None else check)
+    t_star = shift(res)
+    if res.stop == "certified":
+        X, farkas, lo, hi = certified[0]
+    else:
+        X, _, lo, hi = _bracket(prog, t_star, res.X[:k], res.y)
+        farkas = -res.y[:m]
+    return FeasibilityResult(t_star, X, farkas, res, (lo, hi))
 

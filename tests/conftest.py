@@ -31,6 +31,25 @@ def rand_tuple(d, n, rng, hermitian=False, scale=1.0):
     return MatrixTuple.from_mats([rand_complex(n, rng, scale) for _ in range(d)])
 
 
+def level3_pair(seed, push=None):
+    """(point, range): a random 14x14 Hermitian pair A of norm 1 and the
+    level-3 In point V*(A (x) I_2)V; with `push`, that point's coordinate 0
+    lifted `push` past lambda_max(A_0), which no UCP image reaches (Out)."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(2):
+        h = rand_herm(14, rng)
+        mats.append(h / np.linalg.norm(h, 2))
+    big = MatrixTuple.from_mats([np.kron(h, np.eye(2)) for h in mats])
+    point = compress(big, rand_isometry(28, 3, rng))
+    if push is not None:
+        lift = np.linalg.eigvalsh(mats[0])[-1] + push \
+            - np.linalg.eigvalsh(point.mats[0])[0]
+        point = MatrixTuple.from_mats([point.mats[0] + lift * np.eye(3),
+                                       point.mats[1]])
+    return point, MatrixTuple.from_mats(mats)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

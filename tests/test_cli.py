@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,12 @@ import numpy as np
 import pytest
 
 from matrange.cli import EXIT_ERROR, EXIT_MARGINAL, EXIT_NO, EXIT_YES, load_tuple, main
+from matrange.convexity import (
+    ChoiCertificate,
+    Pencil,
+    validate_separator,
+    validate_witness,
+)
 from matrange.errors import DimensionError, ParseError
 from matrange.matcore import MatrixTuple, direct_sum_all, tuple_to_dict, tuple_to_json
 
@@ -250,6 +257,43 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_YES
     assert json.loads(proc.stdout)["status"] == "fully_compressed"
+
+
+def _matrix(rows):
+    """A report's matrix, written as rows of [re, im] pairs."""
+    a = np.asarray(rows, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
+
+
+def _witness(doc):
+    return ChoiCertificate(_matrix(doc["choi"]), tuple(doc["map_dims"]))
+
+
+def _pencil(doc):
+    return Pencil(coeffs=_matrix(doc["coeffs"]), offset=_matrix(doc["offset"]),
+                  level=doc["level"], hermitian_input=doc["hermitian_input"])
+
+
+@pytest.mark.parametrize("push, code", [(None, EXIT_YES), (0.05, EXIT_NO)],
+                         ids=["in", "out"])
+def test_member_verdict_does_not_depend_on_blas_threads(tmp_path, push, code):
+    # which iterate a Choi solve ends certified at turns on rounding, and
+    # so on the BLAS thread count; the verdict and its validity must not
+    from conftest import level3_pair
+    point, rng_t = level3_pair(0, push)
+    args = [sys.executable, "-m", "matrange.cli", "member",
+            "--point", write_tuple(tmp_path / "point.json", point),
+            "--range", write_tuple(tmp_path / "range.json", rng_t)]
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(args, capture_output=True, text=True, env=env)
+        assert proc.returncode == code, proc.stderr
+        report = json.loads(proc.stdout)
+        if push is None:
+            validate_witness(_witness(report["witness"]), rng_t.mats,
+                             point.mats)
+        else:
+            validate_separator(_pencil(report["separator"]), rng_t, point)
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matrange import convexity
 from matrange.convexity import (
+    FEAS_TOL,
     ChoiCertificate,
     Pencil,
     PolytopeBody,
@@ -28,6 +30,7 @@ from matrange.errors import (
 from matrange.matcore import MatrixTuple, compress, conjugate, direct_sum, direct_sum_all
 from conftest import (
     level1_hull_samples,
+    level3_pair,
     planar_hull_verdict,
     rand_herm,
     rand_isometry,
@@ -142,6 +145,42 @@ def test_membership_boundary_policies():
     assert v_m.is_marginal
 
 
+def test_marginal_verdict_reports_the_bracket_and_stop():
+    boundary_pt = MatrixTuple.scalar_point([1.0, 0.0])  # t* = 0
+    v = membership(boundary_pt, PAULI, boundary="marginal")
+    assert v.is_marginal
+    lo, hi = v.detail["bracket"]
+    assert lo <= hi and -FEAS_TOL <= hi and lo <= FEAS_TOL
+    assert v.detail["stop"] in ("converged", "stalled")
+    assert set(v.to_dict()) == {"status", "margin"}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_level3_choi_solves_end_at_a_certified_iterate(seed, monkeypatch):
+    solves = []
+    solve = convexity.solve_feasibility
+
+    def traced(prog, settle=None):
+        solves.append(solve(prog, settle))
+        return solves[-1]
+
+    monkeypatch.setattr(convexity, "solve_feasibility", traced)
+    for push in (None, 0.05):
+        point, rng_t = level3_pair(seed, push)
+        v = membership(point, rng_t)
+        r = solves[-1]
+        assert r.ipm.stop == "certified" and r.ipm.iterations_run <= 12
+        lo, hi = r.bracket
+        if push is None:
+            assert v.is_in and v.margin == lo > FEAS_TOL
+            validate_witness(v.witness, rng_t.mats, point.mats)
+        else:
+            assert v.is_out and v.margin == -hi > FEAS_TOL
+            assert hi - lo <= convexity.SEPARATOR_WIDTH * abs(hi)
+            validate_separator(v.separator, rng_t, point)
+    assert len(solves) == 2
+
+
 def test_membership_monotone_under_compression(rng):
     for _ in range(5):
         t = rand_tuple(2, 3, rng)
@@ -182,10 +221,6 @@ def test_membership_status_is_invariant_under_conjugation(n, m, out, push, seed)
     # lifts coordinate 0 of a compression past lambda_max of the range's by
     # push, which no UCP image reaches
     rng = np.random.default_rng(seed)
-    if out:
-        # a level-2 Out point can come back Marginal in either frame; see
-        # test_level2_out_point_with_a_singular_unitality_block
-        m = 1
     t = rand_tuple(2, n, rng, hermitian=True)
     pt = compress(t, rand_isometry(n, m, rng))
     if out:
@@ -205,13 +240,12 @@ def test_membership_status_is_invariant_under_conjugation(n, m, out, push, seed)
         validate_separator(verdicts[1].separator, t_conj, pt_conj)
 
 
-@pytest.mark.xfail(strict=True, reason="_farkas_pencil normalizes by the "
-                   "inverse square root of a nearly singular unitality block")
 def test_level2_out_point_with_a_singular_unitality_block():
-    # coordinate 0 lifted 0.5 past the range's lambda_max: t* = -1.17, but
-    # the unitality block Z_0 of the Farkas multipliers has eigenvalues
-    # 2.4e-11 and 0.5, and the pencil normalized by Z_0^(-1/2) exceeds 1
-    # on the range by 4.7e-4, so the verdict is Marginal
+    # coordinate 0 lifted 0.5 past the range's lambda_max: t* = -1.17.  The
+    # unitality block Z_0 of the raw Farkas multipliers has eigenvalues
+    # 2.4e-11 and 0.5, and a pencil normalized by Z_0^(-1/2) exceeds 1 on
+    # the range by 4.7e-4; the certified multipliers y' = y + s w add s I
+    # to Z_0, so the pencil's normalization stays bounded
     rng = np.random.default_rng(2)
     t = rand_tuple(2, 2, rng, hermitian=True)
     pt = compress(t, rand_isometry(2, 2, rng))
@@ -330,6 +364,32 @@ def test_validate_witness_rejects_a_corrupted_witness(corruption, message, rng):
         point = compress(t, rand_isometry(4, 2, rng))
     with pytest.raises(CertificateError, match=message):
         validate_witness(cert, t.mats, point.mats)
+
+
+def test_validate_witness_psd_tolerance_follows_feas_tol(rng):
+    t = rand_tuple(2, 4, rng, hermitian=True)
+    v = rand_isometry(4, 2, rng)
+    point = compress(t, v)
+    choi = choi_of_compression(v).choi
+    # lower an eigenvalue in the kernel of the rank-one Choi matrix
+    w = choi[:, np.argmax(np.abs(choi).sum(axis=0))]
+    u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    u -= (w.conj() @ u) / (w.conj() @ w) * w
+    u /= np.linalg.norm(u)
+
+    def lowered(share):
+        c = choi - share * np.linalg.norm(choi) * np.outer(u, u.conj())
+        return ChoiCertificate(c, (4, 2))
+
+    cert = lowered(5e-8)
+    assert cert.min_eig() == pytest.approx(-5e-8 * np.linalg.norm(cert.choi),
+                                           rel=1e-3)
+    validate_witness(cert, t.mats, point.mats)
+    with pytest.raises(CertificateError, match="eigenvalue"):
+        validate_witness(cert, t.mats, point.mats, feas_tol=1e-9)
+    # the default is as strict as the module FEAS_TOL
+    with pytest.raises(CertificateError, match="eigenvalue"):
+        validate_witness(lowered(2e-6), t.mats, point.mats)
 
 
 def test_validate_separator_needs_the_point_above_the_range():

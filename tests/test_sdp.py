@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from matrange import sdp
 from matrange.convexity import FEAS_TOL, _choi_program, _shared_coords, build_frame
 from matrange.errors import IllConditionedError
-from matrange.matcore import MatrixTuple, compress, direct_sum_all, frob
+from matrange.matcore import direct_sum_all, frob
 from matrange.sdp import BlockProgram, detect_blocks, hermitian_basis, solve_feasibility
-from conftest import rand_herm, rand_isometry, rand_tuple
+from conftest import level3_pair, rand_tuple
 
 
 def test_hermitian_basis_orthonormal():
@@ -168,14 +168,7 @@ def test_solve_feasibility_no_rows():
 def _level3_choi_program(seed):
     """Choi program of a level-3 In point V*(A (x) I_2)V against a random
     14x14 Hermitian pair A of norm 1: side 42, 27 rows."""
-    rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(2):
-        h = rand_herm(14, rng)
-        mats.append(h / np.linalg.norm(h, 2))
-    rng_t = MatrixTuple.from_mats(mats)
-    big = MatrixTuple.from_mats([np.kron(h, np.eye(2)) for h in mats])
-    point = compress(big, rand_isometry(28, 3, rng))
+    point, rng_t = level3_pair(seed)
     point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
     frame = build_frame(range_coords, hermitian_input)
     prog, _, _ = _choi_program(range_coords, point_coords, frame)
@@ -200,6 +193,63 @@ def test_stalled_choi_solve_stops_after_its_best_iterate(monkeypatch):
     full = solve_feasibility(prog)
     assert full.ipm.iterations_run > r.ipm.iterations_run
     _assert_same_solve(r, full)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bracket_holds_at_every_iterate(seed):
+    # lo is lambda_min of a point on the slice and hi the value of a dual
+    # feasible point, so lo <= t* <= hi at every iterate; a settle check
+    # that never accepts leaves the run bit-identical
+    prog = _level3_choi_program(seed)
+    seen = []
+
+    def settle(X, y, lo, hi):
+        seen.append((lo, hi))
+        return False
+
+    r = solve_feasibility(prog, settle)
+    assert len(seen) == r.ipm.iterations_run
+    for lo, hi in seen:
+        assert lo <= hi + 1e-12
+    assert seen[r.ipm.iterations] == r.bracket
+    _assert_same_solve(r, solve_feasibility(prog))
+
+
+def test_settle_ends_the_run_at_the_iterate_it_accepts():
+    prog = _level3_choi_program(0)
+    seen = []
+
+    def settle(X, y, lo, hi):
+        seen.append((X, y, lo, hi))
+        return len(seen) == 4
+
+    r = solve_feasibility(prog, settle)
+    assert r.ipm.stop == "certified" and not r.ipm.converged
+    assert r.ipm.iterations == 3 and r.ipm.iterations_run == 4
+    X, y, lo, hi = seen[-1]
+    assert r.X is X and r.farkas_y is y and r.bracket == (lo, hi)
+    # y' is dual feasible for the bracket: A*(y') >= 0 up to rounding
+    S = prog.apply_At(y)
+    assert min(np.linalg.eigvalsh(Sb)[0] for Sb in S) >= -1e-12
+    assert abs(float(prog.b @ y) / sum(np.trace(Sb).real for Sb in S) - hi) \
+        <= 1e-12
+
+
+def test_unitality_combination_of_a_choi_program():
+    prog = _level3_choi_program(1)
+    for Sb, I in zip(prog.apply_At(prog.unitality), prog.identity()):
+        np.testing.assert_allclose(Sb, I, atol=1e-12)
+    # a program without rows that combine to the identity has none
+    assert _program((np.diag([1.0, 0.0]), 1.0)).unitality is None
+
+
+def test_real_rows_bracket_the_optimum():
+    # tr X = 1 and X_00 - X_11 = 0.2 leave lambda_min at most 0.4, at
+    # diag(0.6, 0.4); real rows give the bracket real blocks A*(y)
+    F = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    r = solve_feasibility(BlockProgram(sizes=(2,), F=[F], b=np.array([1.0, 0.2])))
+    lo, hi = r.bracket
+    assert lo <= 0.4 + 1e-12 and hi >= 0.4 - 1e-12 and hi - lo <= 1e-8
 
 
 def test_converged_solve_ignores_the_stall_window(monkeypatch):
