@@ -508,10 +508,13 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
     prog, comps, m = _choi_program(range_coords, point_coords, frame)
     settled = []
 
-    def settle(X, y, lo, hi) -> bool:
+    def settle(X, y, lo, hi) -> Optional[bool]:
         """In once lo > feas_tol and the witness from X validates; Out once
         hi < -feas_tol, the bracket is SEPARATOR_WIDTH-narrow and the pencil
-        from y validates."""
+        from y validates.  None once the bracket lies within +-feas_tol:
+        lo <= t* <= hi, so no later bracket leaves that band."""
+        if -feas_tol <= lo and hi <= feas_tol:
+            return None
         if lo > feas_tol:
             cert = _assemble_choi(X, comps, rng_t.n, m)
             try:

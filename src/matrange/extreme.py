@@ -145,9 +145,9 @@ def minimal_presentation(t: MatrixTuple, seed: int = 0, *,
                          feas_tol: float = FEAS_TOL,
                          boundary: str = BOUNDARY_IN) -> MinimalReport:
     """Decompose, strip multiplicities, classify each distinct summand once
-    against the others and absorb the redundant ones one at a time; finally
-    verify that the matrix range was preserved by validating mutual inclusion
-    certificates.  A summand outside the range of all the others is outside
+    against the others and absorb the redundant ones one at a time, in
+    canonical order; finally verify that the matrix range was preserved by
+    validating mutual inclusion certificates.  A summand outside the range of all the others is outside
     that of any subset, so its one verdict certifies it against the result."""
     dec = irreducible_decomposition(t, seed=seed)
     duplicates = [SummandReport(summand=blk, status=REDUNDANT_DUPLICATE)
@@ -158,13 +158,14 @@ def minimal_presentation(t: MatrixTuple, seed: int = 0, *,
                                  boundary=boundary)[1]
                 for i in range(len(blocks))]
 
-    # Drop the most interior summand first.  Once one is dropped, classify
-    # each later candidate again against the summands still kept: two
-    # near-equivalent summands each absorb the other, and only one may go.
+    # Drop the In summands in canonical order, not by margin: a certified
+    # margin is a bound from whichever iterate settled the verdict, and that
+    # iterate turns on rounding.  Once one is dropped, classify each later
+    # candidate again against the summands still kept: two near-equivalent
+    # summands each absorb the other, and only one may go.
     kept = list(range(len(blocks)))
     absorbed: list[int] = []
-    for _, i in sorted(((v.margin, i) for i, v in enumerate(verdicts)
-                        if v.is_in), reverse=True):
+    for i in [i for i, v in enumerate(verdicts) if v.is_in]:
         if absorbed:
             verdicts[i] = classify_crucial(
                 kept.index(i), [blocks[k] for k in kept], feas_tol=feas_tol,

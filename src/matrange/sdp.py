@@ -181,15 +181,18 @@ class BlockProgram:
         """Eigendecomposition of the Gram matrix, computed once per program."""
         return np.linalg.eigh(self.gram())
 
+    def gram_solve(self, v: np.ndarray) -> np.ndarray:
+        """G^+ v over the Gram eigenvalues above RANK_TOL times the largest."""
+        evals, evecs = self.gram_eigh
+        keep = evals > RANK_TOL * max(float(evals[-1]), 1e-300)
+        return evecs[:, keep] @ ((evecs[:, keep].T @ v) / evals[keep])
+
     @cached_property
     def unitality(self) -> Optional[np.ndarray]:
         """w = G^+ A(I), the row combination with A*(w) = I, or None when
         A*(w) misses I beyond rounding.  Every Choi program has one, its
         unitality rows."""
-        evals, evecs = self.gram_eigh
-        keep = evals > RANK_TOL * max(float(evals[-1]), 1e-300)
-        a = self.apply_A(self.identity())
-        w = evecs[:, keep] @ ((evecs[:, keep].T @ a) / evals[keep])
+        w = self.gram_solve(self.apply_A(self.identity()))
         miss = max(float(np.abs(Sb - I).max())
                    for Sb, I in zip(self.apply_At(w), self.identity()))
         return w if miss <= 1e-10 * max(1.0, float(np.abs(w).max())) else None
@@ -315,10 +318,13 @@ class IpmResult:
 
 
 def _ipm(prog: BlockProgram, X0: list,
-         settle: Optional[Callable[[IpmResult], bool]] = None) -> IpmResult:
+         settle: Optional[Callable[[IpmResult], Optional[bool]]] = None
+         ) -> IpmResult:
     """Predictor-corrector interior-point iteration on the given program,
     from the interior start X0.  `settle`, when given, sees every iterate
-    that has not converged, and the loop ends at the first it accepts.
+    that has not converged, and the loop ends at the first it accepts
+    (True).  Once it returns None, no later iterate can be accepted either,
+    and the loop stops calling it.
 
     The blocks of side 1 form one nonnegative diagonal block: the vector x
     with dual slack z and coefficient columns G, handled with vector
@@ -383,10 +389,14 @@ def _ipm(prog: BlockProgram, X0: list,
             best = replace(cur, converged=True)
             stop = "converged"
             break
-        if settle is not None and settle(cur):
-            best = cur
-            stop = "certified"
-            break
+        if settle is not None:
+            accepted = settle(cur)
+            if accepted:
+                best = cur
+                stop = "certified"
+                break
+            if accepted is None:
+                settle = None
         if it - best.iterations >= STALL_WINDOW:
             stop = "stalled"
             break
@@ -469,8 +479,8 @@ def _ipm(prog: BlockProgram, X0: list,
 class FeasibilityResult:
     """`X` is Y + tI of the returned iterate projected onto the slice and
     `farkas_y` the Farkas direction: the iterate's dual multipliers, lifted
-    to a PSD A*(y) when the run ended certified.  `bracket` is the
-    certified [lo, hi] on t* at the returned iterate."""
+    to a PSD A*(y).  `bracket` is the certified [lo, hi] on t* at the
+    returned iterate."""
 
     t_star: float
     X: Optional[list]
@@ -501,12 +511,10 @@ def _affine_start(prog: BlockProgram):
     Also reports the residual, whether the system is consistent and whether
     the Gram matrix is rank deficient beyond RANK_TOL.
     """
-    evals, evecs = prog.gram_eigh
+    evals = prog.gram_eigh[0]
     lam_max = max(float(evals[-1]), 1e-300)
-    keep = evals > RANK_TOL * lam_max
-    rank_deficient = bool(np.any(~keep))
-    ginv_b = evecs[:, keep] @ ((evecs[:, keep].T @ prog.b) / evals[keep])
-    X0 = prog.apply_At(ginv_b)
+    rank_deficient = bool(np.any(evals <= RANK_TOL * lam_max))
+    X0 = prog.apply_At(prog.gram_solve(prog.b))
     X0 = _hermitize(X0)
     resid = prog.b - prog.apply_A(X0)
     resid_norm = float(np.linalg.norm(resid))
@@ -526,10 +534,7 @@ def refine_affine(prog: BlockProgram, X: list) -> list:
     resid = prog.b - prog.apply_A(X)
     if float(np.linalg.norm(resid)) <= 1e-15 * max(1.0, float(np.linalg.norm(prog.b))):
         return X
-    evals, evecs = prog.gram_eigh
-    keep = evals > 1e-12 * max(float(evals[-1]), 1e-300)
-    w = evecs[:, keep] @ ((evecs[:, keep].T @ resid) / evals[keep])
-    corr = prog.apply_At(w)
+    corr = prog.apply_At(prog.gram_solve(resid))
     return _hermitize([Xb + Cb for Xb, Cb in zip(X, corr)])
 
 
@@ -560,10 +565,12 @@ def solve_feasibility(prog: BlockProgram,
     """Decide {X >= 0 : A(X) = b} with certificates, via max lambda_min.
 
     t_star is -inf, with farkas_y the Farkas direction, when A(X) = b has no
-    solution at all; dependent rows raise IllConditionedError.  `settle`,
-    when given, is called as settle(X, y', lo, hi) with each iterate's
-    _bracket, and the run ends "certified" at the first call that returns
-    True, with that iterate's X and y' as `X` and `farkas_y`.
+    solution at all; dependent rows raise IllConditionedError.  Otherwise
+    `X` and `farkas_y` are the X and y' of the returned iterate's _bracket.
+    `settle`, when given, is called as settle(X, y', lo, hi) with each
+    iterate's _bracket, and the run ends "certified" at the first call that
+    returns True.  A call that returns None says that no later bracket can
+    settle either, and the brackets of later iterates are not computed.
     """
     m = prog.num_rows
     if m == 0:
@@ -610,19 +617,16 @@ def solve_feasibility(prog: BlockProgram,
 
     certified = []
 
-    def check(r: IpmResult) -> bool:
+    def check(r: IpmResult) -> Optional[bool]:
         found = _bracket(prog, shift(r), r.X[:k], r.y)
-        if settle(*found):
+        accepted = settle(*found)
+        if accepted:
             certified.append(found)
-            return True
-        return False
+        return accepted
 
     res = _ipm(shifted, start, None if settle is None else check)
     t_star = shift(res)
-    if res.stop == "certified":
-        X, farkas, lo, hi = certified[0]
-    else:
-        X, _, lo, hi = _bracket(prog, t_star, res.X[:k], res.y)
-        farkas = -res.y[:m]
+    X, farkas, lo, hi = certified[0] if certified else \
+        _bracket(prog, t_star, res.X[:k], res.y)
     return FeasibilityResult(t_star, X, farkas, res, (lo, hi))
 

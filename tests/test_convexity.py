@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matrange import convexity
+from matrange import convexity, sdp
 from matrange.convexity import (
     FEAS_TOL,
     ChoiCertificate,
@@ -155,6 +155,32 @@ def test_marginal_verdict_reports_the_bracket_and_stop():
     assert set(v.to_dict()) == {"status", "margin"}
 
 
+def test_bracket_checks_stop_once_the_bracket_is_in_the_band(monkeypatch):
+    # lo <= t* <= hi, so once -feas_tol <= lo and hi <= feas_tol no later
+    # bracket can settle the verdict and none is computed inside the loop;
+    # the run goes on to its own stop, and one bracket follows it
+    seen, solves = [], []
+    bracket, solve = sdp._bracket, convexity.solve_feasibility
+
+    def traced_bracket(*args):
+        found = bracket(*args)
+        seen.append(found[2:])
+        return found
+
+    def traced_solve(prog, settle=None):
+        solves.append(solve(prog, settle))
+        return solves[-1]
+
+    monkeypatch.setattr(sdp, "_bracket", traced_bracket)
+    monkeypatch.setattr(convexity, "solve_feasibility", traced_solve)
+    v = membership(MatrixTuple.scalar_point([1.0, 0.0]), PAULI,
+                   boundary="marginal")
+    assert v.is_marginal and solves[0].ipm.stop == "converged"
+    in_band = [-FEAS_TOL <= lo and hi <= FEAS_TOL for lo, hi in seen[:-1]]
+    assert in_band == [False] * (len(in_band) - 1) + [True]
+    assert len(seen) < solves[0].ipm.iterations_run
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_level3_choi_solves_end_at_a_certified_iterate(seed, monkeypatch):
     solves = []
@@ -240,12 +266,21 @@ def test_membership_status_is_invariant_under_conjugation(n, m, out, push, seed)
         validate_separator(verdicts[1].separator, t_conj, pt_conj)
 
 
-def test_level2_out_point_with_a_singular_unitality_block():
+@pytest.mark.parametrize("early_stop", [True, False],
+                         ids=["certified", "stalled"])
+def test_level2_out_point_with_a_singular_unitality_block(early_stop,
+                                                          monkeypatch):
     # coordinate 0 lifted 0.5 past the range's lambda_max: t* = -1.17.  The
     # unitality block Z_0 of the raw Farkas multipliers has eigenvalues
     # 2.4e-11 and 0.5, and a pencil normalized by Z_0^(-1/2) exceeds 1 on
     # the range by 4.7e-4; the certified multipliers y' = y + s w add s I
-    # to Z_0, so the pencil's normalization stays bounded
+    # to Z_0, so the pencil's normalization stays bounded.  A solve that
+    # ends uncertified, here with the early stop switched off, returns the
+    # y' of its best iterate as well.
+    if not early_stop:
+        solve = convexity.solve_feasibility
+        monkeypatch.setattr(convexity, "solve_feasibility",
+                            lambda prog, settle=None: solve(prog))
     rng = np.random.default_rng(2)
     t = rand_tuple(2, 2, rng, hermitian=True)
     pt = compress(t, rand_isometry(2, 2, rng))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -196,6 +200,31 @@ def test_near_equivalent_pair_keeps_one_summand(far_point):
     pair_statuses = sorted(s.status for s in rep.summands if s.summand.n == 2)
     assert pair_statuses == [CRUCIAL, REDUNDANT_ABSORBED]
     assert len(rep.crucial) == 1 + len(extra)
+
+
+def test_near_equivalent_split_does_not_depend_on_blas_threads():
+    # which iterate settles a verdict, and so its margin, turns on rounding;
+    # the absorption order is canonical, so the summand kept must not
+    script = (
+        "import numpy as np\n"
+        "from matrange.extreme import CRUCIAL, minimal_presentation\n"
+        "from matrange.matcore import MatrixTuple, direct_sum_all\n"
+        "sz = np.diag([1.0 + 0j, -1.0])\n"
+        "sx = np.array([[0, 1], [1, 0]], dtype=complex)\n"
+        "pair = [MatrixTuple.from_mats([sx, sz]),\n"
+        "        MatrixTuple.from_mats([sx + 1e-7 * sz, sz])]\n"
+        "rep = minimal_presentation(direct_sum_all(pair), seed=18)\n"
+        "kept, = [s.summand for s in rep.summands if s.status == CRUCIAL]\n"
+        "# tr(A_0 A_1) is 0 on the first summand and 2e-7 on the second\n"
+        "print(round(1e7 * np.trace(kept.mats[0] @ kept.mats[1]).real))\n")
+    kept = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        kept.append(proc.stdout.strip())
+    assert kept[0] == kept[1] and kept[0] in ("0", "2")
 
 
 def test_exposing_gaps_reuse_the_classification_separator(rng):

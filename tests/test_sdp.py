@@ -235,6 +235,19 @@ def test_settle_ends_the_run_at_the_iterate_it_accepts():
         <= 1e-12
 
 
+def test_settle_that_gives_up_is_not_called_again():
+    prog = _level3_choi_program(0)
+    calls = []
+
+    def settle(X, y, lo, hi):
+        calls.append(lo)
+        return None
+
+    r = solve_feasibility(prog, settle)
+    assert len(calls) == 1 and r.ipm.stop == "stalled"
+    _assert_same_solve(r, solve_feasibility(prog))
+
+
 def test_unitality_combination_of_a_choi_program():
     prog = _level3_choi_program(1)
     for Sb, I in zip(prog.apply_At(prog.unitality), prog.identity()):
