@@ -29,20 +29,16 @@ from .errors import (
     NotSeparableError,
 )
 from .matcore import MatrixTuple, direct_sum_all, frob, herm_split
-from .sdp import (
-    BlockProgram,
-    detect_blocks,
-    hermitian_basis,
-    solve_feasibility,
-)
+from .sdp import BlockProgram, hermitian_basis, solve_feasibility
 
 FEAS_TOL = 1e-7
 VALIDATE_TOL = 1e-6
 # A Choi solve ends on an Out verdict only once its certified bracket
-# [lo, hi] on t* is this narrow relative to |hi|: the first pencil that
-# validates can be shallow (the level-2 square-against-Pauli separator
-# violates by 0.4015 there, against 0.4142 at the optimum), and exposing
-# gaps are rescaled from these separators.
+# [lo, hi] on t* is this narrow relative to |hi|, or at most feas_tol wide:
+# the first pencil that validates can be shallow (the level-2
+# square-against-Pauli separator violates by 0.4015 there, against 0.4142
+# at the optimum), and exposing gaps are rescaled from these separators.
+# Near the boundary the relative width may never be met.
 SEPARATOR_WIDTH = 1e-3
 
 IN = "in"
@@ -145,11 +141,11 @@ class Pencil:
 
     def evaluate(self, t: MatrixTuple) -> np.ndarray:
         coords = self.coordinates_of(t)
-        n = t.n
-        out = np.kron(self.offset, np.eye(n, dtype=complex))
-        for g, x in zip(self.coeffs, coords):
-            out = out + np.kron(g, x)
-        return out
+        k, n = self.level, t.n
+        # offset (x) I + sum_j G_j (x) X_j, entry ((a, i), (b, c))
+        g = np.concatenate([self.offset[None], self.coeffs])
+        x = np.concatenate([np.eye(n)[None], coords])
+        return np.einsum("jab,jic->aibc", g, x).reshape(k * n, k * n)
 
     def max_eig(self, t: MatrixTuple) -> float:
         m = self.evaluate(t)
@@ -221,7 +217,9 @@ def find_relations(coords: np.ndarray, tol: float = 1e-10) -> list[tuple]:
     cols += [coords[j].reshape(-1) for j in range(dd)]
     mat = np.stack(cols, axis=1)
     real = np.vstack([mat.real, mat.imag])
-    u, s, vh = np.linalg.svd(real, full_matrices=True)
+    # a wide system has null vectors beyond its rows, which only the full
+    # vh holds; then u is the smaller factor
+    _, s, vh = np.linalg.svd(real, full_matrices=real.shape[0] < real.shape[1])
     scale = s[0] if s.size and s[0] > 0 else 1.0
     out = []
     for i in range(vh.shape[0]):
@@ -288,39 +286,24 @@ def _relation_pencil(frame: CoordinateFrame, alpha: np.ndarray, beta: float,
 # ---------------------------------------------------------------------------
 
 def _choi_program(range_coords: np.ndarray, point_coords: np.ndarray,
-                  frame: CoordinateFrame) -> tuple[BlockProgram, list, int]:
+                  frame: CoordinateFrame) -> BlockProgram:
     """Feasibility program for a UCP map interpolating the kept coordinates,
-    with the range side split along its block-diagonal support."""
+    over its Choi matrix: row (j, p) is C_j (x) E_p with C_0 = I and
+    C_j = H_j^T, over the basis E_p of hermitian_basis(m).  A range with a
+    block-diagonal support needs no split: pinching a feasible Choi matrix
+    to the blocks keeps it feasible and does not lower lambda_min."""
     n = range_coords.shape[1]
     m = point_coords.shape[1]
     kept = list(frame.kept)
     shifted_range = [range_coords[j] - frame.center[j] * np.eye(n) for j in kept]
     shifted_point = [point_coords[j] - frame.center[j] * np.eye(m) for j in kept]
-
-    comps = detect_blocks(shifted_range, n)
-    # row (j, p) of a component is C_j (x) E_p with C_0 = I and C_j = H_j^T
-    # restricted to the component, over the basis E_p of hermitian_basis(m)
-    coeffs = [np.eye(n)] + [h.T for h in shifted_range]
     basis = np.stack(hermitian_basis(m))
     targets = np.stack([np.eye(m)] + shifted_point)
-    prog = BlockProgram(
-        sizes=tuple(len(idx) * m for idx in comps),
-        F=[np.stack([c[np.ix_(idx, idx)] for c in coeffs]).astype(complex)
-           for idx in comps],
+    return BlockProgram(
+        F=np.stack([np.eye(n)] + [h.T for h in shifted_range]).astype(complex),
         b=np.einsum("pac,jac->jp", basis.conj(), targets).real.ravel(),
-        levels=(m,) * len(comps),
+        level=m,
     )
-    return prog, comps, m
-
-
-def _assemble_choi(blocks: list, comps: list, n: int, m: int) -> ChoiCertificate:
-    c = np.zeros((n * m, n * m), dtype=complex)
-    for xb, idx in zip(blocks, comps):
-        lift = np.zeros((n * m, len(idx) * m), dtype=complex)
-        for a, i in enumerate(idx):
-            lift[i * m : (i + 1) * m, a * m : (a + 1) * m] = np.eye(m)
-        c += lift @ xb @ lift.conj().T
-    return ChoiCertificate(choi=c, map_dims=(n, m))
 
 
 def _farkas_pencil(farkas_y: np.ndarray, frame: CoordinateFrame, m: int,
@@ -390,21 +373,20 @@ def _pad_pencil(p: Pencil, level: int) -> Pencil:
 # ---------------------------------------------------------------------------
 
 def validate_witness(cert: ChoiCertificate, range_coords: np.ndarray,
-                     point_coords: np.ndarray, tol: float = VALIDATE_TOL,
-                     feas_tol: float = FEAS_TOL) -> None:
+                     point_coords: np.ndarray, feas_tol: float = FEAS_TOL) -> None:
     """Raise CertificateError unless the Choi matrix is PSD within
-    10 feas_tol ||C||_F, unital and interpolating within tol times the
-    data scale."""
+    10 feas_tol ||C||_F, unital and interpolating within feas_tol times the
+    data scale: a witness of a point that membership calls Out fails."""
     scale = max(1.0, float(np.abs(range_coords).max()),
                 float(np.abs(point_coords).max()))
     lam = cert.min_eig()
     if lam < -10 * feas_tol * max(1.0, frob(cert.choi)):
         raise CertificateError(f"Choi witness has eigenvalue {lam}")
-    if cert.unitality_residual() > tol * scale:
+    if cert.unitality_residual() > feas_tol * scale:
         raise CertificateError("Choi witness is not unital within tolerance")
     for h, k in zip(range_coords, point_coords):
         resid = frob(cert.apply(h) - k)
-        if resid > tol * scale:
+        if resid > feas_tol * scale:
             raise CertificateError(
                 f"Choi witness interpolation residual {resid} exceeds tolerance")
 
@@ -435,6 +417,29 @@ def validate_separator(pencil: Pencil, range_tuple: MatrixTuple,
 # ---------------------------------------------------------------------------
 # Membership / inclusion
 # ---------------------------------------------------------------------------
+
+def detect_blocks(mats: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
+    """Partition indices into connected components of the union support, in
+    the order of their smallest index."""
+    adj = np.eye(n, dtype=bool)
+    for mat in mats:
+        scale = float(np.abs(mat).max(initial=0.0))
+        if scale > 0:
+            adj |= np.abs(mat) > 1e-14 * scale
+    # square the reachability relation until it is closed
+    reach = adj | adj.T
+    while True:
+        step = (reach.astype(np.int32) @ reach.astype(np.int32)) > 0
+        if (step == reach).all():
+            break
+        reach = step
+    comps, seen = [], np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not seen[i]:
+            comps.append(np.flatnonzero(reach[i]))
+            seen |= reach[i]
+    return comps
+
 
 def _fast_subblock_witness(point: MatrixTuple, rng_t: MatrixTuple,
                            tol: float = 1e-12) -> Optional[ChoiCertificate]:
@@ -469,12 +474,15 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
     feas_tol resolve to In under boundary="in" (ranges are closed) and to
     Marginal under boundary="marginal".
 
-    A Choi solve ends at the first iterate whose certified bracket
-    [lo, hi] on t* settles the verdict with a certificate that validates,
-    and `margin` is then that certified bound: lo for In, -hi
-    for Out.  Otherwise the solve runs until it converges or stalls and
-    `margin` is its t*; a Marginal verdict's `detail` then holds the
-    returned iterate's bracket and the solver's stop reason.
+    A Choi solve decides from the certified bracket [lo, hi] on t* of an
+    iterate and the certificates built from it: In when lo > feas_tol and
+    the Choi witness validates (`margin` lo), Out when hi < -feas_tol and
+    the pencil validates (`margin` -hi), and under boundary="in" also In
+    when lo >= -feas_tol and the witness validates.  The solve ends at the
+    first iterate that settles In or Out, where an Out bracket must also be
+    SEPARATOR_WIDTH-narrow, and the returned iterate decides the rest.  A
+    Marginal verdict's `margin` is the bracket's midpoint, and its `detail`
+    holds the bracket and the solver's stop reason.
     """
     point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
 
@@ -505,70 +513,53 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
         return _membership_split_point(point, rng_t, point_coords, range_coords,
                                        feas_tol, boundary)
 
-    prog, comps, m = _choi_program(range_coords, point_coords, frame)
-    settled = []
+    m = point.n
+    prog = _choi_program(range_coords, point_coords, frame)
 
-    def settle(X, y, lo, hi) -> Optional[bool]:
-        """In once lo > feas_tol and the witness from X validates; Out once
-        hi < -feas_tol, the bracket is SEPARATOR_WIDTH-narrow and the pencil
-        from y validates.  None once the bracket lies within +-feas_tol:
-        lo <= t* <= hi, so no later bracket leaves that band."""
-        if -feas_tol <= lo and hi <= feas_tol:
-            return None
-        if lo > feas_tol:
-            cert = _assemble_choi(X, comps, rng_t.n, m)
+    def decide(X, y, lo, hi, early: bool) -> Optional[MembershipVerdict]:
+        """The verdict that (X, y', lo, hi) certifies, if any."""
+        if lo > feas_tol or (not early and boundary == BOUNDARY_IN
+                             and lo >= -feas_tol):
+            cert = ChoiCertificate(choi=X, map_dims=(rng_t.n, m))
             try:
                 validate_witness(cert, range_coords, point_coords,
                                  feas_tol=feas_tol)
             except CertificateError:
-                return False
-            settled.append(MembershipVerdict(status=IN, margin=lo, witness=cert))
-        elif hi < -feas_tol and hi - lo <= SEPARATOR_WIDTH * abs(hi):
+                return None
+            return MembershipVerdict(status=IN, margin=lo, witness=cert)
+        width = max(SEPARATOR_WIDTH * abs(hi), feas_tol) if early else np.inf
+        if hi < -feas_tol and hi - lo <= width:
             pencil = _farkas_pencil(y, frame, m, hi)
             try:
                 _, at_point = validate_separator(pencil, rng_t, point)
             except CertificateError:
-                return False
-            settled.append(MembershipVerdict(
-                status=OUT, margin=-hi, separator=pencil,
-                separator_violation=at_point - 1.0))
-        return bool(settled)
+                return None
+            return MembershipVerdict(status=OUT, margin=-hi, separator=pencil,
+                                     separator_violation=at_point - 1.0)
+        return None
+
+    settled = []
+
+    def settle(X, y, lo, hi) -> Optional[bool]:
+        """None once the bracket lies within +-feas_tol: lo <= t* <= hi, so
+        no later bracket leaves that band."""
+        if -feas_tol <= lo and hi <= feas_tol:
+            return None
+        verdict = decide(X, y, lo, hi, early=True)
+        if verdict is not None:
+            settled.append(verdict)
+        return verdict is not None
 
     feas = solve_feasibility(prog, settle)
     if settled:
         return settled[0]
-    t_star = feas.t_star
     lo, hi = feas.bracket
-    solve = {"bracket": [lo, hi], "stop": feas.ipm.stop if feas.ipm else None}
-    if not feas.resolves(feas_tol):
-        return MembershipVerdict(status=MARGINAL, margin=t_star,
-                                 detail={"solver_stalled": True, **solve})
-
-    if t_star > feas_tol:
-        cert = _assemble_choi(feas.X, comps, rng_t.n, m)
-        validate_witness(cert, range_coords, point_coords, feas_tol=feas_tol)
-        return MembershipVerdict(status=IN, margin=t_star, witness=cert)
-    if t_star >= -feas_tol:
-        if boundary == BOUNDARY_IN and feas.X is not None:
-            cert = _assemble_choi(feas.X, comps, rng_t.n, m)
-            try:
-                validate_witness(cert, range_coords, point_coords,
-                                 feas_tol=feas_tol)
-            except CertificateError:
-                return MembershipVerdict(status=MARGINAL, margin=t_star,
-                                         detail=solve)
-            return MembershipVerdict(status=IN, margin=t_star, witness=cert)
-        return MembershipVerdict(status=MARGINAL, margin=t_star, detail=solve)
-
-    pencil = _farkas_pencil(feas.farkas_y, frame, m, t_star)
-    try:
-        _, at_point = validate_separator(pencil, rng_t, point)
-    except CertificateError:
-        return MembershipVerdict(status=MARGINAL, margin=t_star,
-                                 detail={"separator_failed_validation": True,
-                                         **solve})
-    return MembershipVerdict(status=OUT, margin=abs(t_star), separator=pencil,
-                             separator_violation=at_point - 1.0)
+    verdict = decide(feas.X, feas.farkas_y, lo, hi, early=False)
+    if verdict is not None:
+        return verdict
+    return MembershipVerdict(status=MARGINAL, margin=(lo + hi) / 2.0,
+                             detail={"bracket": [lo, hi],
+                                     "stop": feas.ipm.stop})
 
 
 def _membership_split_point(point, rng_t, point_coords, range_coords,

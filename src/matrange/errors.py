@@ -22,7 +22,8 @@ class NonIrreducibleInputError(MatrangeError):
 
 
 class IllConditionedError(MatrangeError):
-    """Constraint Gram matrix is rank deficient beyond sdp.RANK_TOL."""
+    """Constraint Gram matrix is rank deficient beyond sdp.RANK_TOL, or no
+    combination of the constraints gives the identity."""
 
 
 class CertificateError(MatrangeError):

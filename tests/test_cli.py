@@ -298,10 +298,12 @@ def test_member_verdict_does_not_depend_on_blas_threads(tmp_path, push, code):
 
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy.optimize is the slowest import and only the polytope commands
-    # solve a linear program, so they import it when they need it
+    # solve a linear program, so they import it when they need it;
+    # scipy.sparse is needed by no command
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, matrange.cli; print('scipy.optimize' in sys.modules)"],
+         "import sys, matrange.cli; "
+         "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

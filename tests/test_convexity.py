@@ -8,8 +8,10 @@ from matrange.convexity import (
     ChoiCertificate,
     Pencil,
     PolytopeBody,
+    build_frame,
     choi_of_compression,
     exposing_pencil,
+    find_relations,
     hull_vertices,
     inclusion,
     membership,
@@ -205,6 +207,30 @@ def test_level3_choi_solves_end_at_a_certified_iterate(seed, monkeypatch):
             assert hi - lo <= convexity.SEPARATOR_WIDTH * abs(hi)
             validate_separator(v.separator, rng_t, point)
     assert len(solves) == 2
+
+
+def test_near_boundary_out_point_ends_certified(monkeypatch):
+    # a level-3 point at t* = -1.40e-6, on the segment from an In point to
+    # an Out point, at a parameter found by bisection: its brackets never
+    # get SEPARATOR_WIDTH-narrow relative to |hi|, and the absolute floor
+    # feas_tol ends the solve
+    solves = []
+    solve = convexity.solve_feasibility
+
+    def traced(prog, settle=None):
+        solves.append(solve(prog, settle))
+        return solves[-1]
+
+    monkeypatch.setattr(convexity, "solve_feasibility", traced)
+    p_in, rng_t = level3_pair(100)
+    p_out, _ = level3_pair(100, 0.05)
+    s = 0.6618346389644174
+    point = MatrixTuple.from_mats([(1 - s) * a + s * b
+                                   for a, b in zip(p_in.mats, p_out.mats)])
+    v = membership(point, rng_t)
+    assert v.is_out and 1.3e-6 < v.margin < 1.5e-6
+    assert solves[0].ipm.stop == "certified"
+    validate_separator(v.separator, rng_t, point)
 
 
 def test_membership_monotone_under_compression(rng):
@@ -427,6 +453,20 @@ def test_validate_witness_psd_tolerance_follows_feas_tol(rng):
         validate_witness(lowered(2e-6), t.mats, point.mats)
 
 
+@pytest.mark.parametrize("eps", [5e-7, 9e-7])
+def test_witness_of_a_boundary_point_fails_past_it(eps):
+    # the witness of the boundary point (1, 0) of the Pauli pair (sx, sz)
+    # interpolates (1 + eps, 0) within eps, and membership calls that point
+    # Out, so the witness check must reject it there
+    pair = MatrixTuple.from_mats([SX, SZ])
+    v = membership(MatrixTuple.scalar_point([1.0, 0.0]), pair)
+    assert v.is_in
+    past = MatrixTuple.scalar_point([1.0 + eps, 0.0])
+    assert membership(past, pair).is_out
+    with pytest.raises(CertificateError, match="interpolation"):
+        validate_witness(v.witness, pair.mats, past.mats)
+
+
 def test_validate_separator_needs_the_point_above_the_range():
     # lambda_max 1 + 5e-7 on the range and 1 + 2e-7 at the point: within the
     # range bound and past 1 + FEAS_TOL at the point, yet the point lies
@@ -439,6 +479,72 @@ def test_validate_separator_needs_the_point_above_the_range():
     on_range, at_point = validate_separator(
         pencil, MatrixTuple.scalar_point([1.0]), MatrixTuple.scalar_point([1.5]))
     assert (on_range, at_point) == (1.0, 1.5)
+
+
+def test_pencil_evaluation_matches_the_kron_sum(rng):
+    # L(X) = offset (x) I + sum_j G_j (x) X_j, built with np.kron
+    for level, n, d in ((1, 3, 2), (2, 4, 3), (3, 2, 1)):
+        t = rand_tuple(d, n, rng)
+        pencil = Pencil(coeffs=np.stack([rand_herm(level, rng)
+                                         for _ in range(2 * d)]),
+                        offset=rand_herm(level, rng), level=level,
+                        hermitian_input=False)
+        want = np.kron(pencil.offset, np.eye(n))
+        for g, x in zip(pencil.coeffs, t.herm_form):
+            want = want + np.kron(g, x)
+        np.testing.assert_allclose(pencil.evaluate(t), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+def _full_svd_relations(coords, tol=1e-10):
+    """find_relations through the full SVD, whose vh holds every null
+    vector of the (2n^2, d+1) system."""
+    dd, n, _ = coords.shape
+    mat = np.stack([np.eye(n, dtype=complex).reshape(-1)]
+                   + [coords[j].reshape(-1) for j in range(dd)], axis=1)
+    real = np.vstack([mat.real, mat.imag])
+    _, s, vh = np.linalg.svd(real, full_matrices=True)
+    scale = s[0] if s.size and s[0] > 0 else 1.0
+    out = []
+    for i in range(vh.shape[0]):
+        if i < len(s) and s[i] > tol * scale:
+            continue
+        alpha = vh[i][1:]
+        nrm = float(np.linalg.norm(alpha))
+        if nrm >= tol:
+            out.append((alpha / nrm, -float(vh[i][0]) / nrm))
+    return out
+
+
+def _range_with_relations(n, d, rng):
+    """d Hermitian n x n coordinates, the last two affine in the others."""
+    mats = [rand_herm(n, rng) for _ in range(d - 2)]
+    mats.append(mats[0] - 2.0 * mats[-1] + 0.5 * np.eye(n))
+    mats.append(3.0 * mats[1] - np.eye(n))
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 9), (3, 5), (4, 4)])
+def test_relations_match_the_full_svd(n, d, rng, monkeypatch):
+    # (1, 3) and (2, 9) have more columns d + 1 than rows 2 n^2, where null
+    # vectors lie beyond the rows of a thin SVD; (3, 5) and (4, 4) are tall
+    coords = _range_with_relations(n, d, rng)
+    rank = np.linalg.matrix_rank(np.stack(
+        [np.eye(n).reshape(-1)] + [c.reshape(-1) for c in coords], axis=1))
+    rels = find_relations(coords)
+    assert len(rels) == d + 1 - rank
+    for alpha, beta in rels:
+        np.testing.assert_allclose(np.einsum("j,jab->ab", alpha, coords),
+                                   beta * np.eye(n), atol=1e-9)
+    frame = build_frame(coords, True)
+    monkeypatch.setattr(convexity, "find_relations", _full_svd_relations)
+    ref = build_frame(coords, True)
+    assert frame.kept == ref.kept
+    for (alpha, beta), (ref_alpha, ref_beta) in zip(frame.relations,
+                                                    ref.relations,
+                                                    strict=True):
+        np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12)
+        assert beta == pytest.approx(ref_beta, abs=1e-12)
 
 
 # --- exposing pencils --------------------------------------------------------

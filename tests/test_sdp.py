@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matrange import sdp
-from matrange.convexity import FEAS_TOL, _choi_program, _shared_coords, build_frame
+from matrange.convexity import (
+    FEAS_TOL,
+    _choi_program,
+    _shared_coords,
+    build_frame,
+    detect_blocks,
+)
 from matrange.errors import IllConditionedError
 from matrange.matcore import direct_sum_all, frob
-from matrange.sdp import BlockProgram, detect_blocks, hermitian_basis, solve_feasibility
+from matrange.sdp import BlockProgram, hermitian_basis, solve_feasibility
 from conftest import level3_pair, rand_tuple
 
 
@@ -22,33 +28,44 @@ def test_hermitian_basis_orthonormal():
 
 
 def _program(*constraints):
-    """One dense block with the rows <F_k, X> = b_k."""
+    """A program over one dense block with the rows <F_k, X> = b_k."""
     F = np.stack([np.asarray(f, dtype=complex) for f, _ in constraints])
     b = np.array([float(bk) for _, bk in constraints])
-    return BlockProgram(sizes=(F.shape[1],), F=[F], b=b)
+    return BlockProgram(F=F, b=b)
+
+
+def _resolved(r):
+    """The certified bracket holds t_star, its midpoint, which is then
+    within a quarter of max(|t*|, FEAS_TOL) of t*."""
+    lo, hi = r.bracket
+    assert lo <= r.t_star <= hi
+    assert hi - lo <= 0.5 * max(abs(r.t_star), FEAS_TOL)
+    return lo, hi
 
 
 def _feasible(prog):
     """Solve a one-block program whose slice meets the PSD cone and check the
-    primal certificate: t* resolved and not below -FEAS_TOL, X PSD within
-    FEAS_TOL and on the slice within FEAS_TOL of the data scale."""
+    primal certificate: t* resolved and certified not below -FEAS_TOL, X PSD
+    within FEAS_TOL and on the slice within FEAS_TOL of the data scale."""
     r = solve_feasibility(prog)
-    assert r.resolves(FEAS_TOL) and r.t_star >= -FEAS_TOL
-    x = r.X[0]
-    assert np.linalg.eigvalsh(x)[0] >= -FEAS_TOL
-    rows = np.einsum("kij,ij->k", prog.F[0].conj(), x).real
+    lo, _ = _resolved(r)
+    assert lo >= -FEAS_TOL
+    assert np.linalg.eigvalsh(r.X)[0] >= -FEAS_TOL
+    rows = np.einsum("kij,ij->k", prog.F.conj(), r.X).real
     assert np.abs(rows - prog.b).max() <= FEAS_TOL * prog.data_scale()
     return r
 
 
 def _infeasible(prog):
     """Solve a one-block program whose slice misses the PSD cone and check
-    the Farkas pair: S = sum_k y_k F_k PSD and b . y < -|t*| / 10 < 0."""
+    the Farkas pair: t* resolved and certified below -FEAS_TOL,
+    S = sum_k y_k F_k PSD and b . y < -|t*| / 10 < 0."""
     r = solve_feasibility(prog)
-    assert r.resolves(FEAS_TOL) and r.t_star < -FEAS_TOL
+    _, hi = _resolved(r)
+    assert hi < -FEAS_TOL
     y = r.farkas_y
-    slack = np.einsum("k,kij->ij", y, prog.F[0])
-    assert np.linalg.eigvalsh(slack)[0] >= -10 * FEAS_TOL * max(1.0, frob(slack))
+    slack = np.einsum("k,kij->ij", y, prog.F)
+    assert np.linalg.eigvalsh(slack)[0] >= -1e-12 * max(1.0, frob(slack))
     assert float(prog.b @ y) < -0.1 * abs(r.t_star)
     return r
 
@@ -56,7 +73,7 @@ def _infeasible(prog):
 def test_feasible_boundary_example():
     r = _feasible(_program((np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0)))
     assert abs(r.t_star) <= FEAS_TOL
-    np.testing.assert_allclose(r.X[0], np.diag([1.0, 0.0]), atol=1e-7)
+    np.testing.assert_allclose(r.X, np.diag([1.0, 0.0]), atol=1e-7)
 
 
 def test_inconsistent_linear_system():
@@ -117,23 +134,18 @@ def test_block_detection():
 
 
 def test_block_structured_solve():
-    # two independent 2x2 blocks with separate trace constraints, split along
-    # the detected support (down to scalars: the constraints are diagonal)
-    # and embedded back
+    # two independent 2x2 blocks with separate trace constraints, solved as
+    # one block: t* = 1/2 is that of the first block alone, since pinching
+    # to the blocks keeps a point on the slice and does not lower
+    # lambda_min, and the solution is block diagonal
     f1 = np.zeros((4, 4), dtype=complex)
     f1[:2, :2] = np.eye(2)
     f2 = np.zeros((4, 4), dtype=complex)
     f2[2:, 2:] = np.eye(2)
-    comps = detect_blocks([f1, f2], 4)
-    prog = BlockProgram(sizes=tuple(len(c) for c in comps),
-                        F=[np.stack([f[np.ix_(c, c)] for f in (f1, f2)])
-                           for c in comps],
-                        b=np.array([1.0, 2.0]))
-    r = solve_feasibility(prog)
-    assert r.resolves(FEAS_TOL) and r.t_star > FEAS_TOL
-    x = np.zeros((4, 4), dtype=complex)
-    for xb, c in zip(r.X, comps):
-        x[np.ix_(c, c)] = xb
+    r = _feasible(BlockProgram(F=np.stack([f1, f2]), b=np.array([1.0, 2.0])))
+    lo, hi = r.bracket
+    assert lo <= 0.5 <= hi and hi - lo <= 1e-8
+    x = r.X
     assert np.linalg.eigvalsh(x)[0] > 0
     assert abs(np.trace(x[:2, :2]).real - 1.0) < 1e-7
     assert abs(np.trace(x[2:, 2:]).real - 2.0) < 1e-7
@@ -145,7 +157,7 @@ def test_complex_hermitian_native():
     h = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
     r = _feasible(_program((np.eye(2), 1.0), (h, 0.9)))
     assert r.t_star > FEAS_TOL
-    v = np.einsum("ij,ij->", h.conj(), r.X[0]).real
+    v = np.einsum("ij,ij->", h.conj(), r.X).real
     assert abs(v - 0.9) < 1e-7
 
 
@@ -159,8 +171,7 @@ def test_marginal_infeasibility_band():
 
 
 def test_solve_feasibility_no_rows():
-    prog = BlockProgram(sizes=(2,), F=[np.zeros((0, 2, 2), dtype=complex)],
-                        b=np.zeros(0))
+    prog = BlockProgram(F=np.zeros((0, 2, 2), dtype=complex), b=np.zeros(0))
     r = solve_feasibility(prog)
     assert r.t_star == np.inf
 
@@ -171,8 +182,7 @@ def _level3_choi_program(seed):
     point, rng_t = level3_pair(seed)
     point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
     frame = build_frame(range_coords, hermitian_input)
-    prog, _, _ = _choi_program(range_coords, point_coords, frame)
-    return prog
+    return _choi_program(range_coords, point_coords, frame)
 
 
 def _assert_same_solve(a, b):
@@ -180,12 +190,11 @@ def _assert_same_solve(a, b):
     assert a.ipm.iterations == b.ipm.iterations
     assert a.ipm.converged == b.ipm.converged
     np.testing.assert_array_equal(a.farkas_y, b.farkas_y)
-    for xa, xb in zip(a.X, b.X):
-        np.testing.assert_array_equal(xa, xb)
+    np.testing.assert_array_equal(a.X, b.X)
 
 
 def test_stalled_choi_solve_stops_after_its_best_iterate(monkeypatch):
-    prog = _level3_choi_program(0)
+    prog = _level3_choi_program(1)
     r = solve_feasibility(prog)
     assert r.ipm.stop == "stalled" and not r.ipm.converged
     assert r.ipm.iterations_run <= r.ipm.iterations + 1 + sdp.STALL_WINDOW
@@ -193,6 +202,14 @@ def test_stalled_choi_solve_stops_after_its_best_iterate(monkeypatch):
     full = solve_feasibility(prog)
     assert full.ipm.iterations_run > r.ipm.iterations_run
     _assert_same_solve(r, full)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_returned_optimum_lies_in_its_bracket(seed):
+    # the returned t* is within its certified bracket, however the run ends
+    r = solve_feasibility(_level3_choi_program(seed))
+    lo, hi = r.bracket
+    assert lo <= r.t_star <= hi and hi - lo <= 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -208,10 +225,11 @@ def test_bracket_holds_at_every_iterate(seed):
         return False
 
     r = solve_feasibility(prog, settle)
-    assert len(seen) == r.ipm.iterations_run
+    assert len(seen) == r.ipm.iterations_run - r.ipm.converged
     for lo, hi in seen:
         assert lo <= hi + 1e-12
-    assert seen[r.ipm.iterations] == r.bracket
+    if not r.ipm.converged:
+        assert seen[r.ipm.iterations] == r.bracket
     _assert_same_solve(r, solve_feasibility(prog))
 
 
@@ -230,13 +248,12 @@ def test_settle_ends_the_run_at_the_iterate_it_accepts():
     assert r.X is X and r.farkas_y is y and r.bracket == (lo, hi)
     # y' is dual feasible for the bracket: A*(y') >= 0 up to rounding
     S = prog.apply_At(y)
-    assert min(np.linalg.eigvalsh(Sb)[0] for Sb in S) >= -1e-12
-    assert abs(float(prog.b @ y) / sum(np.trace(Sb).real for Sb in S) - hi) \
-        <= 1e-12
+    assert np.linalg.eigvalsh(S)[0] >= -1e-12
+    assert abs(float(prog.b @ y) / np.trace(S).real - hi) <= 1e-12
 
 
 def test_settle_that_gives_up_is_not_called_again():
-    prog = _level3_choi_program(0)
+    prog = _level3_choi_program(1)
     calls = []
 
     def settle(X, y, lo, hi):
@@ -250,24 +267,27 @@ def test_settle_that_gives_up_is_not_called_again():
 
 def test_unitality_combination_of_a_choi_program():
     prog = _level3_choi_program(1)
-    for Sb, I in zip(prog.apply_At(prog.unitality), prog.identity()):
-        np.testing.assert_allclose(Sb, I, atol=1e-12)
-    # a program without rows that combine to the identity has none
-    assert _program((np.diag([1.0, 0.0]), 1.0)).unitality is None
+    np.testing.assert_allclose(prog.apply_At(prog.unitality),
+                               np.eye(prog.side), atol=1e-12)
+    # a program without rows that combine to the identity has none, and
+    # the trace program needs one
+    prog = _program((np.diag([1.0, 0.0]), 1.0))
+    assert prog.unitality is None
+    with pytest.raises(IllConditionedError):
+        solve_feasibility(prog)
 
 
 def test_real_rows_bracket_the_optimum():
     # tr X = 1 and X_00 - X_11 = 0.2 leave lambda_min at most 0.4, at
     # diag(0.6, 0.4); real rows give the bracket real blocks A*(y)
     F = np.stack([np.eye(2), np.diag([1.0, -1.0])])
-    r = solve_feasibility(BlockProgram(sizes=(2,), F=[F], b=np.array([1.0, 0.2])))
+    r = solve_feasibility(BlockProgram(F=F, b=np.array([1.0, 0.2])))
     lo, hi = r.bracket
     assert lo <= 0.4 + 1e-12 and hi >= 0.4 - 1e-12 and hi - lo <= 1e-8
 
 
 def test_converged_solve_ignores_the_stall_window(monkeypatch):
-    prog = BlockProgram(sizes=(2,), F=[np.eye(2, dtype=complex)[None]],
-                        b=np.array([1.0]))
+    prog = BlockProgram(F=np.eye(2, dtype=complex)[None], b=np.array([1.0]))
     r = solve_feasibility(prog)
     assert r.ipm.stop == "converged" and r.ipm.converged
     assert r.ipm.iterations_run == r.ipm.iterations + 1
@@ -275,18 +295,17 @@ def test_converged_solve_ignores_the_stall_window(monkeypatch):
     _assert_same_solve(r, solve_feasibility(prog))
 
 
-def _dense_choi_rows(range_coords, point_coords, frame, comps, m):
-    """The Choi program's rows built explicitly with np.kron, per component,
-    and its right-hand side: row (j, p) is C_j (x) E_p with C_0 = I and
-    C_j the transposed shifted range coordinate."""
+def _dense_choi_rows(range_coords, point_coords, frame, m):
+    """The Choi program's rows built explicitly with np.kron, and its
+    right-hand side: row (j, p) is C_j (x) E_p with C_0 = I and C_j the
+    transposed shifted range coordinate."""
     n = range_coords.shape[1]
     basis = hermitian_basis(m)
     coeffs = [np.eye(n)] + [(range_coords[j] - frame.center[j] * np.eye(n)).T
                             for j in frame.kept]
     targets = [np.eye(m)] + [point_coords[j] - frame.center[j] * np.eye(m)
                              for j in frame.kept]
-    rows = [np.stack([np.kron(c[np.ix_(idx, idx)], e)
-                      for c in coeffs for e in basis]) for idx in comps]
+    rows = np.stack([np.kron(c, e) for c in coeffs for e in basis])
     b = np.array([np.einsum("ij,ij->", e.conj(), k).real
                   for k in targets for e in basis])
     return rows, b
@@ -308,27 +327,36 @@ def test_factored_rows_match_dense_kron_rows(sizes, level, hermitian, seed):
     point = rand_tuple(2, level, rng, hermitian=hermitian)
     point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
     frame = build_frame(range_coords, hermitian_input)
-    prog, comps, m = _choi_program(range_coords, point_coords, frame)
-    rows, b = _dense_choi_rows(range_coords, point_coords, frame, comps, m)
-    assert m == level and prog.levels == (level,) * len(comps)
-    assert prog.sizes == tuple(r.shape[1] for r in rows)
+    prog = _choi_program(range_coords, point_coords, frame)
+    rows, b = _dense_choi_rows(range_coords, point_coords, frame, level)
+    assert prog.level == level and prog.side == rows.shape[1]
     np.testing.assert_allclose(prog.b, b, atol=1e-14)
 
-    X = [_rand_pd(s, rng) for s in prog.sizes]
-    W = [_rand_pd(s, rng) for s in prog.sizes]
+    N = prog.side
+    X, W = _rand_pd(N, rng), _rand_pd(N, rng)
     y = rng.standard_normal(prog.num_rows)
-    A = sum(np.einsum("kij,ij->k", R.conj(), Xb).real for R, Xb in zip(rows, X))
-    flat = [R.reshape(len(R), -1) for R in rows]
-    gram = sum((f.conj() @ f.T).real for f in flat)
-    schur = sum(np.einsum("kab,bc,lcd,da->kl", R, Xb, R, Wb).real
-                for R, Xb, Wb in zip(rows, X, W))
 
     def close(got, want):
         np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=1e-12 * max(1.0, np.abs(want).max()))
+                                   atol=1e-12 * max(1.0, np.abs(want).max(initial=0)))
 
-    close(prog.apply_A(X), A)
-    for got, R in zip(prog.apply_At(y), rows):
-        close(got, np.einsum("k,kij->ij", y, R))
-    close(prog.gram(), gram)
-    close(prog.schur(X, W), schur)
+    def dense_schur(R):
+        return np.einsum("kab,bc,lcd,da->kl", R, X, R, W).real
+
+    close(prog.apply_A(X), np.einsum("kij,ij->k", rows.conj(), X).real)
+    close(prog.apply_At(y), np.einsum("k,kij->ij", y, rows))
+    flat = rows.reshape(len(rows), -1)
+    close(prog.gram(), (flat.conj() @ flat.T).real)
+    close(prog.schur(X, W), dense_schur(rows))
+
+    # the trace program: rows F'_k = F_k - (a_k / N) I with a = A(I), less
+    # the dropped one, and its Schur complement with the rank-two correction
+    sp = sdp._TraceProgram(prog)
+    a = np.einsum("kii->k", rows).real
+    shifted = (rows - a[:, None, None] / N * np.eye(N))[sp.keep]
+    assert len(shifted) == prog.num_rows - 1
+    tau = float(prog.unitality @ prog.b)
+    close(sp.b, (b - tau / N * a)[sp.keep])
+    close(sp.apply_A(X), np.einsum("kij,ij->k", shifted.conj(), X).real)
+    close(sp.apply_At(y[sp.keep]), np.einsum("k,kij->ij", y[sp.keep], shifted))
+    close(sp.schur(X, W), dense_schur(shifted))
