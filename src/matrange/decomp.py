@@ -2,24 +2,23 @@
 
 The commutant of a tuple is the *-algebra of matrices commuting with every
 coordinate and its adjoint; its dimension is 1 exactly when the tuple is
-irreducible.  Decomposition splits a tuple on the eigenspaces of a seeded
-random Hermitian element of its commutant and recurses, then groups the
-resulting blocks into unitary equivalence classes with multiplicities
-(the *-algebra splitting of Murota, Kanno, Kojima and Kojima, "A numerical
-algorithm for block-diagonal decomposition of matrix *-algebras", 2010).
-Each split proposes the commutant from the eigenspaces of a random real
-combination H of the Hermitian coordinates: every commutant element
-commutes with H, so it is solved for on H's diagonal blocks only (as in
-Maehara and Murota, "Algorithm for error-controlled simultaneous
-block-diagonalization of matrices", 2011).  When that finds nothing beyond
-the identity, the dense commutant system confirms it, so a block is left
-whole exactly when the dense system finds it irreducible.  The result is
-checked to reassemble the input before it is returned.
+irreducible.  Being *-closed, it is spanned by its Hermitian elements, and
+those are solved for alone, in real arithmetic, through the R factor of
+the system.  Decomposition splits a tuple on the eigenspaces of a seeded
+random Hermitian commutant element and recurses, then groups the blocks
+into unitary equivalence classes with multiplicities (Murota, Kanno,
+Kojima and Kojima, "A numerical algorithm for block-diagonal decomposition
+of matrix *-algebras", 2010).  Each split solves the commutant on the
+eigenspaces of a random real combination of the Hermitian coordinates
+(Maehara and Murota, "Algorithm for error-controlled simultaneous
+block-diagonalization of matrices", 2011), and the dense system confirms
+each leaf.  The result is checked to reassemble the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,20 +39,15 @@ EQUIV_TOL = 1e-6
 MARGINAL_FACTOR = 10.0
 
 
-def _commutant_system(a: MatrixTuple, b: MatrixTuple,
-                      support: Optional[tuple] = None) -> np.ndarray:
+def _commutant_system(a: MatrixTuple, b: MatrixTuple) -> np.ndarray:
     """Coefficient matrix of {X : X B_j = A_j X, X B_j* = A_j* X}.
 
     X maps the space of B into the space of A, so X is a.n-by-b.n.  The
-    unknowns are the entries X[p_i, q_i] for the index arrays (p, q) of
-    support; by default all entries, in column-major vec order.  Rows are
+    unknowns are the entries of X in column-major vec order.  Rows are
     the column-major vec of each residual X B - A X, for the coordinates
     A_1, A_1*, A_2, A_2*, ...
     """
-    if support is None:
-        q, p = np.divmod(np.arange(a.n * b.n), a.n)
-    else:
-        p, q = support
+    q, p = np.divmod(np.arange(a.n * b.n), a.n)
     am, bm = (np.stack([m.mats, m.mats.conj().transpose(0, 2, 1)], axis=1)
               .reshape(-1, m.n, m.n) for m in (a, b))
     cols = np.arange(len(p))
@@ -65,25 +59,65 @@ def _commutant_system(a: MatrixTuple, b: MatrixTuple,
     return k.reshape(-1, len(p))
 
 
-def _null_space(k: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal null-space basis columns."""
-    # the thin factorisation suffices for tall systems and skips the
-    # (rows x rows) left factor
-    _, s, vh = np.linalg.svd(k, full_matrices=k.shape[0] < k.shape[1])
+@lru_cache(maxsize=None)
+def _full_support(n: int) -> tuple:
+    """Entry indices (P, Q) of the unknowns of an n x n Hermitian matrix:
+    the diagonal, then each (p, q) with p < q, then each (q, p) in that
+    order.  A selection closed under transposition stays paired."""
+    d, (p, q) = np.arange(n), np.triu_indices(n, 1)
+    P, Q = np.concatenate([d, p, q]), np.concatenate([d, q, p])
+    P.flags.writeable = Q.flags.writeable = False
+    return P, Q
+
+
+def _hermitian_system(mats: np.ndarray, support: tuple) -> np.ndarray:
+    """Real coefficient matrix of X -> (sqrt2 [X, A_j])_j for the (d, n, n)
+    coordinates mats, on the Hermitian X supported on entries (P, Q) kept
+    from _full_support, in the Frobenius-orthonormal basis E_pp,
+    (E_pq + E_qp)/sqrt2, i(E_pq - E_qp)/sqrt2.  Rows are the real and
+    imaginary parts of the residuals.  As [X, A_j*] = -[X, A_j]* for
+    Hermitian X, this has the singular values of _commutant_system(t, t),
+    with half its real rows and unknowns."""
+    P, Q = support
+    d, n = mats.shape[:2]
+    m, no = len(P), (len(P) - n) // 2
+    u = np.arange(m)
+    # residual E_PQ A - A E_PQ of each entry unknown: row P of E_PQ A is
+    # row Q of A, and column Q of A E_PQ is column P of A
+    c = np.zeros((m, d, n, n), dtype=complex)
+    c[u, :, P, :] = mats[:, Q, :].transpose(1, 0, 2)
+    c[u, :, :, Q] -= mats[:, :, P].transpose(2, 0, 1)
+    a, b = c[n: n + no], c[n + no:]
+    z = np.concatenate([2 ** 0.5 * c[:n], a + b, 1j * (a - b)])
+    return z.view(float).reshape(m, -1).T
+
+
+def _hermitian_commutant(mats: np.ndarray, support: tuple,
+                         rtol: float) -> np.ndarray:
+    """Frobenius-orthonormal Hermitian matrices, as a (count, n, n) array,
+    spanning the null space of _hermitian_system.  The commutant is
+    *-closed, so count is the complex dimension of its part on support."""
+    k = _hermitian_system(mats, support)
+    # the SVD of R = qr(k) gives k's singular values and right factor without
+    # building k's (rows x cols) left factor; below about 2,000 entries the
+    # QR call costs more than that factor
+    _, s, vh = np.linalg.svd(np.linalg.qr(k, mode="r") if k.size > 2048 else k,
+                             full_matrices=False)
     # floored at 1 like every tolerance here: a scalar tuple's system is zero
     # up to rounding, and its noise must not set the scale
-    scale = max(1.0, float(s[0]))
-    mask = s <= rtol * scale
-    ns = vh[len(s):].conj().T  # rows beyond min(m,n) are exact null directions
-    extra = vh[: len(s)][mask].conj().T
-    return np.hstack([extra, ns]) if ns.size else extra
+    coef = vh[s <= rtol * max(1.0, float(s[0]))]
+    (P, Q), n = support, mats.shape[1]
+    no = (len(P) - n) // 2
+    z = (coef[:, n: n + no] + 1j * coef[:, n + no:]) * 2 ** -0.5
+    x = np.zeros((len(coef), n, n), dtype=complex)
+    x[:, P, Q] = np.concatenate([coef[:, :n], z, z.conj()], axis=1)
+    return x
 
 
 def commutant_basis(a: MatrixTuple, rtol: float = DECOMP_TOL) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the commutant; always contains span I."""
-    basis = _null_space(_commutant_system(a, a), rtol)
-    # .T undoes the column-major vec
-    return [basis[:, i].reshape(a.n, a.n).T for i in range(basis.shape[1])]
+    """Frobenius-orthonormal basis of the commutant's Hermitian part, whose
+    length is the commutant's complex dimension; its span holds I."""
+    return list(_hermitian_commutant(a.mats, _full_support(a.n), rtol))
 
 
 def commutant_dim(a: MatrixTuple, rtol: float = DECOMP_TOL) -> int:
@@ -94,39 +128,14 @@ def is_irreducible(a: MatrixTuple, rtol: float = DECOMP_TOL) -> bool:
     return commutant_dim(a, rtol) == 1
 
 
-def _hermitian_commutant_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Frobenius-orthonormal Hermitian basis of a *-closed matrix space,
-    whose real dimension equals the complex dimension len(mats).
-
-    The Hermitian parts (M + M*)/2 and (M - M*)/2i of the 2k spanning
-    matrices are stacked as real vectors [Re vec H, Im vec H]; a *-closed
-    space of complex dimension k has a Hermitian part of real dimension k,
-    so the top k right singular vectors of that stack are kept.  A
-    rank-revealing SVD is used because Gram-Schmidt with a cutoff keeps
-    normalised rounding noise under cancellation.
-    """
-    k = len(mats)
-    n = mats[0].shape[0]
-    parts = []
-    for m in mats:
-        parts.append((m + m.conj().T) / 2.0)
-        parts.append((m - m.conj().T) / 2.0j)
-    flat = np.stack(parts).reshape(2 * k, n * n)
-    _, _, vh = np.linalg.svd(np.hstack([flat.real, flat.imag]),
-                             full_matrices=False)
-    return [(row[: n * n] + 1j * row[n * n:]).reshape(n, n) for row in vh[:k]]
-
-
 def canonical_key(t: MatrixTuple) -> tuple:
     """Ordering key (size, trace moments to 8 decimals) that is invariant
     under conjugation."""
     h = t.herm_form
-    m1 = [round(float(np.trace(h[j]).real), 8) for j in range(h.shape[0])]
-    m2 = []
-    for j in range(h.shape[0]):
-        for k in range(j, h.shape[0]):
-            m2.append(round(float(np.trace(h[j] @ h[k]).real), 8))
-    return (t.n, tuple(m1), tuple(m2))
+    m1 = tuple(round(float(np.trace(x).real), 8) for x in h)
+    m2 = tuple(round(float(np.trace(h[j] @ h[k]).real), 8)
+               for j in range(len(h)) for k in range(j, len(h)))
+    return (t.n, m1, m2)
 
 
 def unitary_equivalent(a: MatrixTuple, b: MatrixTuple,
@@ -157,8 +166,7 @@ def _intertwiner(a: MatrixTuple, b: MatrixTuple) -> tuple[Optional[np.ndarray], 
     """
     if a.n != b.n:
         return None, np.inf
-    k = _commutant_system(a, b)
-    _, s, vh = np.linalg.svd(k, full_matrices=False)
+    _, s, vh = np.linalg.svd(_commutant_system(a, b), full_matrices=False)
     x = vh[-1].conj().reshape(a.n, a.n).T
     # Schur: X*X lies in the commutant of B, hence is a positive scalar
     c = float(np.trace(x.conj().T @ x).real) / a.n
@@ -193,10 +201,7 @@ class BlockDecomposition:
     marginal_pairs: tuple = field(default_factory=tuple)
 
     def assembled(self) -> MatrixTuple:
-        parts = []
-        for b, mult in self.blocks:
-            parts.extend([b] * mult)
-        return direct_sum_all(parts)
+        return direct_sum_all([b for b, mult in self.blocks for _ in range(mult)])
 
     def reassembly_residual(self) -> float:
         rotated = conjugate(self.base, self.unitary)
@@ -220,46 +225,36 @@ def _cluster_labels(vals: np.ndarray, gap: float) -> np.ndarray:
 
 
 def _eigenspace_commutant(t: MatrixTuple, rng: np.random.Generator,
-                          decomp_tol: float) -> list[np.ndarray]:
-    """Basis of the commutant solved on the eigenspaces of a random real
-    combination H of the Hermitian coordinates.
-
-    Every commutant element commutes with H, so it is block diagonal on
-    H's eigenspaces, and only those blocks are unknowns: sum k_i^2 columns
-    in place of n^2.  The rows are those of the dense system in H's
-    eigenbasis, a unitary change, so by interlacing this never finds more
-    elements than commutant_basis, and each commutes within its bound.
-    """
+                          decomp_tol: float) -> np.ndarray:
+    """Hermitian basis of the commutant solved on the eigenspaces of a
+    random real combination H of the Hermitian coordinates: every commutant
+    element commutes with H, so only H's diagonal blocks are unknowns, sum
+    k_i^2 in place of n^2.  In H's eigenbasis, a unitary change, the rows
+    are those of the dense system, so by interlacing this never finds more
+    elements than commutant_basis, and each commutes within its bound."""
     g = np.tensordot(rng.standard_normal(2 * t.d), t.herm_form, axes=1)
     vals, v = np.linalg.eigh(g)
     label = _cluster_labels(vals, decomp_tol * max(1.0, frob(g)))
-    p, q = np.nonzero(label[:, None] == label[None, :])
-    rotated = MatrixTuple(v.conj().T @ t.mats @ v)
-    basis = _null_space(_commutant_system(rotated, rotated, (p, q)), decomp_tol)
-    x = np.zeros((basis.shape[1], t.n, t.n), dtype=complex)
-    x[:, p, q] = basis.T
-    return list(v @ x @ v.conj().T)
+    P, Q = _full_support(t.n)
+    keep = label[P] == label[Q]
+    x = _hermitian_commutant(v.conj().T @ t.mats @ v, (P[keep], Q[keep]), decomp_tol)
+    return v @ x @ v.conj().T
 
 
 def _split_once(t: MatrixTuple, rng: np.random.Generator,
                 decomp_tol: float) -> Optional[list[np.ndarray]]:
     """Isometries onto the eigenspaces of one random Hermitian commutant
-    element, or None if the tuple is irreducible.
-
-    The commutant is first solved on the eigenspaces of a random
-    coordinate combination; when that finds no element beyond the
-    identity, the dense system confirms it, so a tuple is a leaf exactly
-    when commutant_basis calls it irreducible.
-    """
+    element, or None if the tuple is irreducible.  When the eigenspace
+    commutant finds no element beyond the identity, the dense system
+    confirms it, so a tuple is a leaf exactly when commutant_basis calls it
+    irreducible."""
     basis = _eigenspace_commutant(t, rng, decomp_tol)
     if len(basis) <= 1:
         basis = commutant_basis(t, decomp_tol)
         if len(basis) <= 1:
             return None
-    herm = _hermitian_commutant_basis(basis)
     for _ in range(8):
-        coeffs = rng.standard_normal(len(herm))
-        e = sum(c * h for c, h in zip(coeffs, herm))
+        e = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
         e = (e + e.conj().T) / 2.0
         nrm = frob(e)
         if nrm < 1e-12:
@@ -325,16 +320,14 @@ def _decompose_once(t: MatrixTuple, rng: np.random.Generator,
         if parts is None:
             finals.append((v, sub))
             continue
-        for w in parts:
-            work.append((v @ w, MatrixTuple(np.stack(
-                [w.conj().T @ m @ w for m in sub.mats])), depth + 1))
+        work.extend((v @ w, MatrixTuple(w.conj().T @ sub.mats @ w), depth + 1)
+                    for w in parts)
 
     # group by unitary equivalence
     finals.sort(key=lambda pair: canonical_key(pair[1]))
     classes: list[dict] = []
     marginal: list[tuple[int, int]] = []
     for v, blk in finals:
-        placed = False
         near: list[int] = []
         for ci, cls in enumerate(classes):
             rep = cls["rep"]
@@ -343,21 +336,14 @@ def _decompose_once(t: MatrixTuple, rng: np.random.Generator,
             u, err = _intertwiner(blk, rep)
             if err <= equiv_tol and frob(u.conj().T @ blk.mats @ u - rep.mats) <= bound:
                 cls["members"].append((v, u))
-                placed = True
                 break
             if err <= equiv_tol * MARGINAL_FACTOR:
                 near.append(ci)
-        if not placed:
+        else:
             marginal.extend((ci, len(classes)) for ci in near)
             classes.append({"rep": blk, "members": [(v, np.eye(blk.n, dtype=complex))]})
 
-    cols = []
-    blocks = []
-    for cls in classes:
-        rep = cls["rep"]
-        blocks.append((rep, len(cls["members"])))
-        for v, u in cls["members"]:
-            cols.append(v @ u)
-    unitary = np.hstack(cols)
-    return BlockDecomposition(base=t, unitary=unitary, blocks=tuple(blocks),
+    blocks = tuple((cls["rep"], len(cls["members"])) for cls in classes)
+    unitary = np.hstack([v @ u for cls in classes for v, u in cls["members"]])
+    return BlockDecomposition(base=t, unitary=unitary, blocks=blocks,
                               marginal_pairs=tuple(marginal))

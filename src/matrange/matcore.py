@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -201,6 +202,19 @@ def tuple_from_dict(doc) -> MatrixTuple:
         raise ParseError("fields 'd' and 'n' must be positive integers")
     if not isinstance(mats, list) or len(mats) != d:
         raise DimensionError(f"'mats' must list exactly d={d} matrices")
+    # one conversion when the entries are what the loop below accepts: lists
+    # of shape (d, n, n, 2) holding int and float (bool is a type of its own)
+    try:
+        a = np.array(mats, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is not None and a.shape == (d, n, n, 2):
+        rows = list(chain.from_iterable(mats))
+        pairs = list(chain.from_iterable(rows))
+        items = chain(mats, rows, pairs, chain.from_iterable(pairs))
+        if set(map(type, items)) <= {list, int, float}:
+            # the pairs viewed as complex keep their bits, as complex(re, im)
+            return MatrixTuple(a.view(complex)[..., 0])
     out = np.zeros((d, n, n), dtype=complex)
     for j, rows in enumerate(mats):
         if not isinstance(rows, list) or len(rows) != n:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from matrange import decomp
 from matrange.decomp import (
-    _hermitian_commutant_basis,
     canonical_key,
     commutant_basis,
     commutant_dim,
@@ -211,8 +210,7 @@ def test_decompose_four_pairs_with_duplicate():
 
 def test_hermitian_commutant_basis_exact_dimension():
     t = _criterion4_run37()
-    basis = commutant_basis(t)
-    herm = _hermitian_commutant_basis(basis)
+    herm = commutant_basis(t)
     assert len(herm) == commutant_dim(t) == 5
     gram = np.array([[np.real(np.vdot(a, b)) for b in herm] for a in herm])
     np.testing.assert_allclose(gram, np.eye(len(herm)), atol=1e-10)
@@ -407,8 +405,65 @@ def test_commutant_system_matches_the_kron_reference(na, nb, d, rng):
     a, b = rand_tuple(d, na, rng), rand_tuple(d, nb, rng)
     dense = decomp._commutant_system(a, b)
     assert np.array_equal(dense, _kron_commutant_system(a, b))
-    # a support selects the columns of the unknowns X[p, q]
-    p = rng.integers(0, na, 5)
-    q = rng.integers(0, nb, 5)
-    assert np.array_equal(decomp._commutant_system(a, b, (p, q)),
-                          dense[:, p + na * q])
+
+
+def _support_of(labels):
+    """The unknowns on the diagonal blocks of equal label, as
+    _eigenspace_commutant keeps them."""
+    labels = np.asarray(labels)
+    p, q = decomp._full_support(len(labels))
+    keep = labels[p] == labels[q]
+    return p[keep], q[keep]
+
+
+def _non_hermitian_8x8(rng):
+    """One non-Hermitian 8x8 matrix, as in the Hermitian-split path of
+    membership: a reducible 3+3+2 direct sum with a repeated block,
+    conjugated by a random unitary."""
+    blk = rand_tuple(1, 3, rng)
+    t = direct_sum_all([blk, blk, rand_tuple(1, 2, rng)])
+    return conjugate(t, rand_unitary(8, rng))
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "complex", "non-hermitian 8x8"])
+@pytest.mark.parametrize("labels", [None, [0, 0, 1, 1, 1, 2, 3, 3], [0, 1, 2, 3, 4, 5, 6, 7],
+                                    [0, 0, 0, 0, 1, 1, 1, 1]])
+def test_hermitian_system_has_the_complex_singular_values(kind, labels, rng):
+    if kind == "non-hermitian 8x8":
+        t = _non_hermitian_8x8(rng)
+    else:
+        t = rand_tuple(2, 8, rng, hermitian=kind == "hermitian")
+    if labels is None:
+        support, cols = decomp._full_support(8), slice(None)
+    else:
+        support = _support_of(labels)
+        cols = support[0] + 8 * support[1]  # column-major vec of X[P, Q]
+    real = decomp._hermitian_system(t.mats, support)
+    assert real.dtype == float and real.shape == (2 * t.d * 64, len(support[0]))
+    sr = np.linalg.svd(real, compute_uv=False)
+    sc = np.linalg.svd(decomp._commutant_system(t, t)[:, cols], compute_uv=False)
+    assert np.max(np.abs(sr - sc)) <= 1e-12 * sc[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_commutant_basis_is_hermitian_with_the_complex_dimension(seed):
+    # inequivalent non-Hermitian blocks of sizes (2, 1, 3) with
+    # multiplicities (2, 1, 1), and of sizes (3, 2) with multiplicities
+    # (1, 2): the commutant has dimension 4 + 1 + 1 and 1 + 4
+    rng = np.random.default_rng(seed)
+    for planted in ([(2, 2), (1, 1), (3, 1)], [(3, 1), (2, 2)]):
+        blocks = [rand_tuple(2, n, rng) for n, _ in planted]
+        parts = [b for b, (_, m) in zip(blocks, planted) for _ in range(m)]
+        summed = direct_sum_all(parts)
+        t = conjugate(summed, rand_unitary(summed.n, rng))
+        s = np.linalg.svd(decomp._commutant_system(t, t), compute_uv=False)
+        null_dim = int(np.sum(s <= decomp.DECOMP_TOL * max(1.0, s[0])))
+        basis = commutant_basis(t)
+        assert len(basis) == null_dim == sum(m * m for _, m in planted)
+        gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
+        np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
+        for h in basis:
+            assert np.array_equal(h, h.conj().T)
+            for m in t.mats:
+                assert np.linalg.norm(h @ m - m @ h) <= _tol(t)
+                assert np.linalg.norm(h @ m.conj().T - m.conj().T @ h) <= _tol(t)

@@ -193,3 +193,96 @@ def test_direct_sum_all(rng):
     parts = [rand_tuple(2, k, rng) for k in (1, 2, 3)]
     t = direct_sum_all(parts)
     assert t.n == 6
+
+
+def _per_entry(doc):
+    """The per-entry decoding loop of tuple_from_dict, as the reference for
+    its one-conversion path (header checks as in tuple_from_dict)."""
+    d, n, mats = doc["d"], doc["n"], doc["mats"]
+    if not isinstance(mats, list) or len(mats) != d:
+        raise DimensionError(f"'mats' must list exactly d={d} matrices")
+    out = np.zeros((d, n, n), dtype=complex)
+    for j, rows in enumerate(mats):
+        if not isinstance(rows, list) or len(rows) != n:
+            raise DimensionError(f"mats[{j}] must have {n} rows")
+        for r, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise DimensionError(f"mats[{j}][{r}] must have {n} entries")
+            for c, entry in enumerate(row):
+                if (not isinstance(entry, list) or len(entry) != 2
+                        or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                               for x in entry)):
+                    raise ParseError(
+                        f"mats[{j}][{r}][{c}] must be a [re, im] pair of numbers")
+                out[j, r, c] = complex(entry[0], entry[1])
+    return out
+
+
+def _raised(f, doc):
+    try:
+        f(doc)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+def _pauli_doc():
+    return json.loads(tuple_to_json(MatrixTuple.from_mats([SZ, SX])))
+
+
+def _bad_docs():
+    docs = {}
+    for name, value in (("bool", True), ("string", "1.0"), ("none", None),
+                        ("huge int", 10 ** 400), ("nested", [1.0])):
+        doc = _pauli_doc()
+        doc["mats"][1][1][0][1] = value
+        docs[name] = doc
+    doc = _pauli_doc()
+    doc["mats"][0][1] = [[1.0, 0.0]]
+    docs["ragged row"] = doc
+    doc = _pauli_doc()
+    doc["mats"][1] = doc["mats"][1][:1]
+    docs["ragged matrix"] = doc
+    doc = _pauli_doc()
+    doc["mats"][0][0][1] = [0.0, 1.0, 2.0]
+    docs["long pair"] = doc
+    doc = _pauli_doc()
+    doc["mats"][1][0] = tuple(doc["mats"][1][0])
+    docs["tuple row"] = doc
+    doc = _pauli_doc()
+    doc["d"] = 3
+    docs["wrong d"] = doc
+    doc = _pauli_doc()
+    doc["n"] = 3
+    docs["wrong n"] = doc
+    doc = _pauli_doc()
+    doc["n"] = 1
+    docs["smaller n"] = doc
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(_bad_docs()))
+def test_decoder_raises_as_the_per_entry_loop(name):
+    doc = _bad_docs()[name]
+    assert _raised(tuple_from_dict, doc) == _raised(_per_entry, doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"d": 1, "n": 1, "mats": [[[[3, -4]]]]},
+    {"d": 1, "n": 1, "mats": [[[[-0.0, 0.0]]]]},
+    {"d": 2, "n": 2, "mats": [[[[0, -0.0], [2 ** 60 + 1, 5]],
+                               [[-0.0, -0.0], [1e-320, -7]]],
+                              [[[1, 0], [0.1, 0.2]], [[-1, 1e300], [2 ** 53 + 1, 0]]]]},
+])
+def test_decoder_is_bit_identical_to_the_per_entry_loop(doc):
+    got = tuple_from_dict(doc).mats
+    want = _per_entry(doc)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_decoder_is_bit_identical_on_random_documents(rng):
+    for _ in range(50):
+        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        t = rand_tuple(d, n, rng, scale=float(rng.uniform(1e-8, 1e6)))
+        doc = json.loads(tuple_to_json(t))
+        assert tuple_from_dict(doc).mats.tobytes() == _per_entry(doc).tobytes()
