@@ -99,8 +99,11 @@ def _hermitian_commutant(mats: np.ndarray, support: tuple,
     *-closed, so count is the complex dimension of its part on support."""
     k = _hermitian_system(mats, support)
     # the SVD of R = qr(k) gives k's singular values and right factor without
-    # building k's (rows x cols) left factor; below about 2,000 entries the
-    # QR call costs more than that factor
+    # building k's (rows x cols) left factor.  On one BLAS thread the QR call
+    # costs more than it saves up to a measured crossover of 2,000-2,500
+    # entries (64 x 16: SVD 72 us, QR and SVD 77 us; 256 x 64: 1.12 and
+    # 0.80 ms), and QR on every system made commutant_basis at n = 1-3,
+    # d = 2 slower than the complex SVD it replaces
     _, s, vh = np.linalg.svd(np.linalg.qr(k, mode="r") if k.size > 2048 else k,
                              full_matrices=False)
     # floored at 1 like every tolerance here: a scalar tuple's system is zero
@@ -132,10 +135,12 @@ def canonical_key(t: MatrixTuple) -> tuple:
     """Ordering key (size, trace moments to 8 decimals) that is invariant
     under conjugation."""
     h = t.herm_form
-    m1 = tuple(round(float(np.trace(x).real), 8) for x in h)
-    m2 = tuple(round(float(np.trace(h[j] @ h[k]).real), 8)
-               for j in range(len(h)) for k in range(j, len(h)))
-    return (t.n, m1, m2)
+    m1 = [round(float(np.trace(h[j]).real), 8) for j in range(h.shape[0])]
+    m2 = []
+    for j in range(h.shape[0]):
+        for k in range(j, h.shape[0]):
+            m2.append(round(float(np.trace(h[j] @ h[k]).real), 8))
+    return (t.n, tuple(m1), tuple(m2))
 
 
 def unitary_equivalent(a: MatrixTuple, b: MatrixTuple,
@@ -166,7 +171,8 @@ def _intertwiner(a: MatrixTuple, b: MatrixTuple) -> tuple[Optional[np.ndarray], 
     """
     if a.n != b.n:
         return None, np.inf
-    _, s, vh = np.linalg.svd(_commutant_system(a, b), full_matrices=False)
+    k = _commutant_system(a, b)
+    _, s, vh = np.linalg.svd(k, full_matrices=False)
     x = vh[-1].conj().reshape(a.n, a.n).T
     # Schur: X*X lies in the commutant of B, hence is a positive scalar
     c = float(np.trace(x.conj().T @ x).real) / a.n
@@ -201,7 +207,10 @@ class BlockDecomposition:
     marginal_pairs: tuple = field(default_factory=tuple)
 
     def assembled(self) -> MatrixTuple:
-        return direct_sum_all([b for b, mult in self.blocks for _ in range(mult)])
+        parts = []
+        for b, mult in self.blocks:
+            parts.extend([b] * mult)
+        return direct_sum_all(parts)
 
     def reassembly_residual(self) -> float:
         rotated = conjugate(self.base, self.unitary)
@@ -227,11 +236,14 @@ def _cluster_labels(vals: np.ndarray, gap: float) -> np.ndarray:
 def _eigenspace_commutant(t: MatrixTuple, rng: np.random.Generator,
                           decomp_tol: float) -> np.ndarray:
     """Hermitian basis of the commutant solved on the eigenspaces of a
-    random real combination H of the Hermitian coordinates: every commutant
-    element commutes with H, so only H's diagonal blocks are unknowns, sum
-    k_i^2 in place of n^2.  In H's eigenbasis, a unitary change, the rows
-    are those of the dense system, so by interlacing this never finds more
-    elements than commutant_basis, and each commutes within its bound."""
+    random real combination H of the Hermitian coordinates.
+
+    Every commutant element commutes with H, so it is block diagonal on
+    H's eigenspaces, and only those blocks are unknowns: sum k_i^2 columns
+    in place of n^2.  The rows are those of the dense system in H's
+    eigenbasis, a unitary change, so by interlacing this never finds more
+    elements than commutant_basis, and each commutes within its bound.
+    """
     g = np.tensordot(rng.standard_normal(2 * t.d), t.herm_form, axes=1)
     vals, v = np.linalg.eigh(g)
     label = _cluster_labels(vals, decomp_tol * max(1.0, frob(g)))
@@ -244,10 +256,13 @@ def _eigenspace_commutant(t: MatrixTuple, rng: np.random.Generator,
 def _split_once(t: MatrixTuple, rng: np.random.Generator,
                 decomp_tol: float) -> Optional[list[np.ndarray]]:
     """Isometries onto the eigenspaces of one random Hermitian commutant
-    element, or None if the tuple is irreducible.  When the eigenspace
-    commutant finds no element beyond the identity, the dense system
-    confirms it, so a tuple is a leaf exactly when commutant_basis calls it
-    irreducible."""
+    element, or None if the tuple is irreducible.
+
+    The commutant is first solved on the eigenspaces of a random
+    coordinate combination; when that finds no element beyond the
+    identity, the dense system confirms it, so a tuple is a leaf exactly
+    when commutant_basis calls it irreducible.
+    """
     basis = _eigenspace_commutant(t, rng, decomp_tol)
     if len(basis) <= 1:
         basis = commutant_basis(t, decomp_tol)
@@ -320,14 +335,16 @@ def _decompose_once(t: MatrixTuple, rng: np.random.Generator,
         if parts is None:
             finals.append((v, sub))
             continue
-        work.extend((v @ w, MatrixTuple(w.conj().T @ sub.mats @ w), depth + 1)
-                    for w in parts)
+        for w in parts:
+            work.append((v @ w, MatrixTuple(np.stack(
+                [w.conj().T @ m @ w for m in sub.mats])), depth + 1))
 
     # group by unitary equivalence
     finals.sort(key=lambda pair: canonical_key(pair[1]))
     classes: list[dict] = []
     marginal: list[tuple[int, int]] = []
     for v, blk in finals:
+        placed = False
         near: list[int] = []
         for ci, cls in enumerate(classes):
             rep = cls["rep"]
@@ -336,14 +353,21 @@ def _decompose_once(t: MatrixTuple, rng: np.random.Generator,
             u, err = _intertwiner(blk, rep)
             if err <= equiv_tol and frob(u.conj().T @ blk.mats @ u - rep.mats) <= bound:
                 cls["members"].append((v, u))
+                placed = True
                 break
             if err <= equiv_tol * MARGINAL_FACTOR:
                 near.append(ci)
-        else:
+        if not placed:
             marginal.extend((ci, len(classes)) for ci in near)
             classes.append({"rep": blk, "members": [(v, np.eye(blk.n, dtype=complex))]})
 
-    blocks = tuple((cls["rep"], len(cls["members"])) for cls in classes)
-    unitary = np.hstack([v @ u for cls in classes for v, u in cls["members"]])
-    return BlockDecomposition(base=t, unitary=unitary, blocks=blocks,
+    cols = []
+    blocks = []
+    for cls in classes:
+        rep = cls["rep"]
+        blocks.append((rep, len(cls["members"])))
+        for v, u in cls["members"]:
+            cols.append(v @ u)
+    unitary = np.hstack(cols)
+    return BlockDecomposition(base=t, unitary=unitary, blocks=tuple(blocks),
                               marginal_pairs=tuple(marginal))

@@ -6,10 +6,9 @@
 For each (workload, seed), bench/generate.py of this checkout writes the
 pool's input files once; then each checkout runs every operation of every
 round through `matrange.cli.run` in a child process of its own, with its
-own `src/` on PYTHONPATH and the BLAS thread count fixed as in
-bench/run.py.  Reports are serialised with that checkout's
-`_jsonutil.dumps`, and each is checked with bench/checks.py against the
-pool's constructed expectation.
+own `src/` on PYTHONPATH and one BLAS thread, as bench/run.py sets.
+Reports are serialised with that checkout's `_jsonutil.dumps`, and each is
+checked with bench/checks.py against the pool's constructed expectation.
 
 Printed: every operation whose exit code or status differs, or that raised
 on one side only; then one JSON summary line per pool with the counts of
@@ -31,7 +30,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
-# same choice and reason as bench/run.py: one thread for the small kernels
+# one BLAS thread, as bench/run.py sets for its clients, so that each
+# report is computed as the benchmark computes it
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # mismatches printed per pool, at most
 SHOW = 20
@@ -76,10 +76,10 @@ def run_pool(work: str) -> list[dict]:
     return out
 
 
-def side(checkout: str, work: str, blas_threads: str) -> list[dict]:
+def side(checkout: str, work: str) -> list[dict]:
     env = dict(os.environ)
     for var in BLAS_VARS:
-        env[var] = blas_threads
+        env[var] = "1"
     env["PYTHONPATH"] = os.path.join(os.path.abspath(checkout), "src")
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", work],
@@ -113,13 +113,12 @@ def check_failures(records: list[dict], manifest: dict, work: str) -> int:
 
 
 def compare(workload: str, seed: int, base: str, change: str,
-            scratch: str, blas_threads: str) -> bool:
+            scratch: str) -> bool:
     import generate
 
     work = os.path.join(scratch, f"{workload}-{seed}")
     manifest = generate.generate(workload, seed, work)
-    runs = {"base": side(base, work, blas_threads),
-            "change": side(change, work, blas_threads)}
+    runs = {"base": side(base, work), "change": side(change, work)}
     summary = {"workload": workload, "seed": seed,
                "operations": len(runs["base"]), "exit_code_mismatches": 0,
                "status_mismatches": 0, "raised_on_one_side": 0,
@@ -161,7 +160,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         help="repeatable; default: every workload")
     parser.add_argument("--seeds", type=int, nargs="+", default=[401, 402, 503])
-    parser.add_argument("--blas-threads", default="1")
     parser.add_argument("--child", metavar="WORK", help=argparse.SUPPRESS)
     ns = parser.parse_args(argv)
     if ns.child:
@@ -176,8 +174,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_pools-") as scratch:
         for workload in ns.workload or generate.WORKLOADS:
             for seed in ns.seeds:
-                same &= compare(workload, seed, ns.base, ns.change, scratch,
-                                ns.blas_threads)
+                same &= compare(workload, seed, ns.base, ns.change, scratch)
     return 0 if same else 1
 
 
