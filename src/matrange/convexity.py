@@ -374,13 +374,16 @@ def _pad_pencil(p: Pencil, level: int) -> Pencil:
 
 def validate_witness(cert: ChoiCertificate, range_coords: np.ndarray,
                      point_coords: np.ndarray, feas_tol: float = FEAS_TOL) -> None:
-    """Raise CertificateError unless the Choi matrix is PSD within
-    10 feas_tol ||C||_F, unital and interpolating within feas_tol times the
-    data scale: a witness of a point that membership calls Out fails."""
+    """Raise CertificateError unless the Choi matrix is PSD within feas_tol,
+    unital and interpolating within feas_tol times the data scale: a witness
+    of a point that membership calls Out fails.  lambda_min may fall below
+    -feas_tol only by N eps ||C||_F for side N, a bound on its rounding
+    error."""
     scale = max(1.0, float(np.abs(range_coords).max()),
                 float(np.abs(point_coords).max()))
     lam = cert.min_eig()
-    if lam < -10 * feas_tol * max(1.0, frob(cert.choi)):
+    rounding = len(cert.choi) * np.finfo(float).eps * frob(cert.choi)
+    if lam < -feas_tol - rounding:
         raise CertificateError(f"Choi witness has eigenvalue {lam}")
     if cert.unitality_residual() > feas_tol * scale:
         raise CertificateError("Choi witness is not unital within tolerance")
@@ -480,9 +483,11 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
     the pencil validates (`margin` -hi), and under boundary="in" also In
     when lo >= -feas_tol and the witness validates.  The solve ends at the
     first iterate that settles In or Out, where an Out bracket must also be
-    SEPARATOR_WIDTH-narrow, and the returned iterate decides the rest.  A
-    Marginal verdict's `margin` is the bracket's midpoint, and its `detail`
-    holds the bracket and the solver's stop reason.
+    SEPARATOR_WIDTH-narrow, or at the first bracket within +-feas_tol
+    (stop "band"), where no later bracket can settle.  The returned iterate,
+    the last one bracketed, decides the rest.  A Marginal verdict's
+    `margin` is the bracket's midpoint, and its `detail` holds the bracket
+    and the solver's stop reason.
     """
     point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
 

@@ -31,16 +31,10 @@ and the iterate's dual multipliers, lifted to a PSD A*(y') along w, give an
 upper bound.  An interior X certifies t* > 0, and a y' with A*(y') >= 0
 and b.y' < 0 is a Farkas direction that no feasible program admits.
 Callers re-validate every certificate they build from the result through
-direct eigenvalue computation.  A caller that needs only a verdict passes
-solve_feasibility a `settle` check of that bracket, and the run ends
-"certified" at the first iterate the check accepts.
-
-Otherwise the iteration returns its best iterate, the one of lowest score
-max(rel_p, rel_d, rel_gap).  Near the boundary the Schur system turns
-ill-conditioned and the residuals grow again after that iterate, so the
-loop also ends, as SDPT3 does on lack of progress, once STALL_WINDOW
-iterates in a row have not lowered the best score; such a stalled run
-returns its best iterate unconverged.
+direct eigenvalue computation.  The bracket is also the only stop rule: the
+caller's `settle` check of each bracket ends the run when it accepts one or
+finds that no later one can be accepted, every other stop is a failure,
+and the run returns its last iterate.
 """
 
 from __future__ import annotations
@@ -55,13 +49,9 @@ import scipy.linalg as sla
 from .errors import DimensionError, IllConditionedError
 from .matcore import frob
 
-# _ipm converges once rel_p, rel_d and rel_gap are all at most IPM_TOL
-IPM_TOL = 1e-10
 MAX_ITER = 120
 # Gram eigenvalues below RANK_TOL times the largest mark dependent rows
 RANK_TOL = 1e-10
-# _ipm ends once this many iterates in a row have not lowered the best score
-STALL_WINDOW = 10
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:
@@ -291,15 +281,13 @@ def _step_length(iL: np.ndarray, dX: np.ndarray) -> float:
 @dataclass
 class IpmResult:
     """One iterate (X, y, Z) of _ipm on a _TraceProgram, where X is its Y
-    and y the multipliers of its kept rows.  _ipm returns its best iterate,
-    the one of lowest score max(rel_p, rel_d, rel_gap).
+    and y the multipliers of its kept rows.
 
-    `iterations` is the index of the iterate.  On the returned one,
-    `iterations_run` is the number of iterates the loop evaluated and `stop`
-    says why the loop ended: "converged", "certified" (the caller's settle
-    check accepted this iterate, which is returned in place of the best),
-    "stalled" (STALL_WINDOW iterates in a row without a lower score),
-    "max_iter", "short_step" (even a centering step was too short) or
+    `iterations` is the index of the iterate.  On the returned iterate, the
+    last one _ipm evaluated, `stop` says why the loop ended: "certified"
+    (the settle check accepted it), "band" (the settle check found that no
+    later iterate can be accepted either), or one of the failure stops
+    "max_iter", "short_step" (even a centering step was too short) and
     "factorization" (a Cholesky factor of X, Z or the Schur complement
     could not be formed).
     """
@@ -307,65 +295,41 @@ class IpmResult:
     X: np.ndarray
     y: np.ndarray
     Z: np.ndarray
-    pobj: float
-    dobj: float
-    rel_p: float
-    rel_d: float
-    rel_gap: float
     iterations: int
-    converged: bool
-    iterations_run: int = 0
     stop: str = ""
+
+    @property
+    def converged(self) -> bool:
+        """Whether the run ended on its settle check, not on a failure."""
+        return self.stop in ("certified", "band")
 
 
 def _ipm(sp: _TraceProgram, X0: np.ndarray,
-         settle: Optional[Callable[[IpmResult], Optional[bool]]] = None
-         ) -> IpmResult:
+         settle: Callable[[IpmResult], Optional[bool]]) -> IpmResult:
     """Predictor-corrector interior-point iteration on min tr X over the
-    trace program, from the interior start X0.  `settle`, when given, sees
-    every iterate that has not converged, and the loop ends at the first it
-    accepts (True).  Once it returns None, no later iterate can be accepted
-    either, and the loop stops calling it."""
+    trace program, from the interior start X0.  `settle` sees every iterate:
+    True ends the loop "certified", None ends it "band" and False goes on.
+    The loop returns the last iterate it evaluated, with its stop."""
     N = sp.N
     m = len(sp.b)
     eye = np.eye(N, dtype=complex)
-    normC = np.sqrt(N)
-    normb = max(1.0, float(np.linalg.norm(sp.b)))
     X = _hermitize(np.asarray(X0, dtype=complex))
     Z = sp.prog.data_scale() * eye
     y = np.zeros(m)
 
-    best: Optional[IpmResult] = None
     stop = "max_iter"
     for it in range(MAX_ITER):
         rp = sp.b - sp.apply_A(X)
         Rd = eye - sp.apply_At(y) - Z
         gap = float(np.einsum("ij,ji->", X, Z).real)
         mu = gap / N
-        pobj = float(np.trace(X).real)
-        dobj = float(sp.b @ y)
-        rel_p = float(np.linalg.norm(rp)) / normb
-        rel_d = frob(Rd) / normC
-        rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
+        rel_gap = abs(gap) / (1.0 + abs(float(np.trace(X).real))
+                              + abs(float(sp.b @ y)))
         # X and Z are Hermitian already, and later steps rebind, not mutate
-        cur = IpmResult(X, y, Z, pobj, dobj, rel_p, rel_d, rel_gap, it, False)
-        score = max(rel_p, rel_d, rel_gap)
-        if best is None or score < max(best.rel_p, best.rel_d, best.rel_gap):
-            best = cur
-        if rel_p <= IPM_TOL and rel_d <= IPM_TOL and rel_gap <= IPM_TOL:
-            best = replace(cur, converged=True)
-            stop = "converged"
-            break
-        if settle is not None:
-            accepted = settle(cur)
-            if accepted:
-                best = cur
-                stop = "certified"
-                break
-            if accepted is None:
-                settle = None
-        if it - best.iterations >= STALL_WINDOW:
-            stop = "stalled"
+        cur = IpmResult(X, y, Z, it)
+        accepted = settle(cur)
+        if accepted or accepted is None:
+            stop = "certified" if accepted else "band"
             break
 
         # X and Z stay fixed through the iteration: factor each once
@@ -424,8 +388,7 @@ def _ipm(sp: _TraceProgram, X0: np.ndarray,
         Z = _hermitize(Z + ad * dZ)
         y = y + ad * dy
 
-    assert best is not None
-    return replace(best, iterations_run=it + 1, stop=stop)
+    return replace(cur, stop=stop)
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +456,17 @@ def _bracket(prog: BlockProgram, t: float, Y: np.ndarray, y: np.ndarray) -> tupl
 
 
 def solve_feasibility(prog: BlockProgram,
-                      settle: Optional[Callable[..., bool]] = None
+                      settle: Callable[..., Optional[bool]]
                       ) -> FeasibilityResult:
     """Decide {X >= 0 : A(X) = b} with certificates, via max lambda_min.
 
     t_star is -inf, with farkas_y the Farkas direction, when A(X) = b has no
     solution at all.  Dependent rows, and rows without a unitality
-    combination, raise IllConditionedError.  Otherwise `X` and `farkas_y`
-    are the X and y' of the returned iterate's _bracket.  `settle`, when
-    given, is called as settle(X, y', lo, hi) with each iterate's _bracket,
-    and the run ends "certified" at the first call that returns True.  A
-    call that returns None says that no later bracket can settle either,
-    and the brackets of later iterates are not computed.
+    combination, raise IllConditionedError.  Otherwise `settle` is called
+    as settle(X, y', lo, hi) with each iterate's _bracket: True ends the run
+    "certified" at that iterate, None ends it "band", as no later bracket
+    can be accepted either, and False goes on.  `X`, `farkas_y` and
+    `bracket` are those of the returned iterate, the last one bracketed.
     """
     if prog.num_rows == 0:
         return FeasibilityResult(np.inf, np.eye(prog.side, dtype=complex),
@@ -524,21 +486,15 @@ def solve_feasibility(prog: BlockProgram,
             "remove dependent constraints")
 
     sp = _TraceProgram(prog)
-    certified = []
-
-    def bracket(r: IpmResult) -> tuple:
-        return _bracket(prog, sp.shift(r.X), r.X, sp.lift(r.y))
+    found = ()
 
     def check(r: IpmResult) -> Optional[bool]:
-        found = bracket(r)
-        accepted = settle(*found)
-        if accepted:
-            certified.append(found)
-        return accepted
+        nonlocal found
+        found = _bracket(prog, sp.shift(r.X), r.X, sp.lift(r.y))
+        return settle(*found)
 
     # Y = X0 - t0 I has lambda_min 1
     t0 = _min_eigenvalue(X0) - 1.0
-    res = _ipm(sp, X0 - t0 * np.eye(prog.side),
-               None if settle is None else check)
-    X, farkas, lo, hi = certified[0] if certified else bracket(res)
+    res = _ipm(sp, X0 - t0 * np.eye(prog.side), check)
+    X, farkas, lo, hi = found
     return FeasibilityResult((lo + hi) / 2.0, X, farkas, res, (lo, hi))

@@ -153,14 +153,14 @@ def test_marginal_verdict_reports_the_bracket_and_stop():
     assert v.is_marginal
     lo, hi = v.detail["bracket"]
     assert lo <= hi and -FEAS_TOL <= hi and lo <= FEAS_TOL
-    assert v.detail["stop"] in ("converged", "stalled")
+    assert v.detail["stop"] == "band"
     assert set(v.to_dict()) == {"status", "margin"}
 
 
 def test_bracket_checks_stop_once_the_bracket_is_in_the_band(monkeypatch):
     # lo <= t* <= hi, so once -feas_tol <= lo and hi <= feas_tol no later
-    # bracket can settle the verdict and none is computed inside the loop;
-    # the run goes on to its own stop, and one bracket follows it
+    # bracket can settle the verdict: the run ends "band" at that iterate,
+    # and no bracket follows it
     seen, solves = [], []
     bracket, solve = sdp._bracket, convexity.solve_feasibility
 
@@ -169,7 +169,7 @@ def test_bracket_checks_stop_once_the_bracket_is_in_the_band(monkeypatch):
         seen.append(found[2:])
         return found
 
-    def traced_solve(prog, settle=None):
+    def traced_solve(prog, settle):
         solves.append(solve(prog, settle))
         return solves[-1]
 
@@ -177,10 +177,10 @@ def test_bracket_checks_stop_once_the_bracket_is_in_the_band(monkeypatch):
     monkeypatch.setattr(convexity, "solve_feasibility", traced_solve)
     v = membership(MatrixTuple.scalar_point([1.0, 0.0]), PAULI,
                    boundary="marginal")
-    assert v.is_marginal and solves[0].ipm.stop == "converged"
-    in_band = [-FEAS_TOL <= lo and hi <= FEAS_TOL for lo, hi in seen[:-1]]
+    assert v.is_marginal and solves[0].ipm.stop == "band"
+    in_band = [-FEAS_TOL <= lo and hi <= FEAS_TOL for lo, hi in seen]
     assert in_band == [False] * (len(in_band) - 1) + [True]
-    assert len(seen) < solves[0].ipm.iterations_run
+    assert len(seen) == solves[0].ipm.iterations + 1
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -188,7 +188,7 @@ def test_level3_choi_solves_end_at_a_certified_iterate(seed, monkeypatch):
     solves = []
     solve = convexity.solve_feasibility
 
-    def traced(prog, settle=None):
+    def traced(prog, settle):
         solves.append(solve(prog, settle))
         return solves[-1]
 
@@ -197,7 +197,7 @@ def test_level3_choi_solves_end_at_a_certified_iterate(seed, monkeypatch):
         point, rng_t = level3_pair(seed, push)
         v = membership(point, rng_t)
         r = solves[-1]
-        assert r.ipm.stop == "certified" and r.ipm.iterations_run <= 12
+        assert r.ipm.stop == "certified" and r.ipm.iterations + 1 <= 12
         lo, hi = r.bracket
         if push is None:
             assert v.is_in and v.margin == lo > FEAS_TOL
@@ -209,6 +209,15 @@ def test_level3_choi_solves_end_at_a_certified_iterate(seed, monkeypatch):
     assert len(solves) == 2
 
 
+def _segment_point(s):
+    """(point, range): the point at parameter s on the segment from the
+    level-3 In point of level3_pair(100) to its Out point with push 0.05."""
+    p_in, rng_t = level3_pair(100)
+    p_out, _ = level3_pair(100, 0.05)
+    return MatrixTuple.from_mats([(1 - s) * a + s * b
+                                  for a, b in zip(p_in.mats, p_out.mats)]), rng_t
+
+
 def test_near_boundary_out_point_ends_certified(monkeypatch):
     # a level-3 point at t* = -1.40e-6, on the segment from an In point to
     # an Out point, at a parameter found by bisection: its brackets never
@@ -217,20 +226,57 @@ def test_near_boundary_out_point_ends_certified(monkeypatch):
     solves = []
     solve = convexity.solve_feasibility
 
-    def traced(prog, settle=None):
+    def traced(prog, settle):
         solves.append(solve(prog, settle))
         return solves[-1]
 
     monkeypatch.setattr(convexity, "solve_feasibility", traced)
-    p_in, rng_t = level3_pair(100)
-    p_out, _ = level3_pair(100, 0.05)
-    s = 0.6618346389644174
-    point = MatrixTuple.from_mats([(1 - s) * a + s * b
-                                   for a, b in zip(p_in.mats, p_out.mats)])
+    point, rng_t = _segment_point(0.6618346389644174)
     v = membership(point, rng_t)
     assert v.is_out and 1.3e-6 < v.margin < 1.5e-6
     assert solves[0].ipm.stop == "certified"
     validate_separator(v.separator, rng_t, point)
+
+
+@pytest.mark.parametrize("s", [0.6618192375221137, 0.6618192595091447,
+                               0.661818698839854, 0.6618197981914042],
+                         ids=["t=1e-9", "t=-1e-9", "t=5e-8", "t=-5e-8"])
+@pytest.mark.parametrize("boundary", ["in", "marginal"])
+def test_band_point_ends_at_its_first_band_bracket(s, boundary, monkeypatch):
+    # points on the segment at t* = +-1e-9 and +-5e-8, placed from the
+    # point at t* = -1.40e-6 along the slope dt*/ds = -0.0910 (a central
+    # difference) and checked against brackets 2e-10 wide.  Once a bracket
+    # lies within +-feas_tol no later one can settle, so the solve ends
+    # there, and that iterate decides: In under boundary="in", Marginal
+    # under boundary="marginal"
+    seen, solves = [], []
+    bracket, solve = sdp._bracket, convexity.solve_feasibility
+
+    def traced_bracket(*args):
+        found = bracket(*args)
+        seen.append(found[2:])
+        return found
+
+    def traced_solve(prog, settle):
+        solves.append(solve(prog, settle))
+        return solves[-1]
+
+    monkeypatch.setattr(sdp, "_bracket", traced_bracket)
+    monkeypatch.setattr(convexity, "solve_feasibility", traced_solve)
+    point, rng_t = _segment_point(s)
+    v = membership(point, rng_t, boundary=boundary)
+    r = solves[0]
+    first = next(k for k, (lo, hi) in enumerate(seen)
+                 if -FEAS_TOL <= lo and hi <= FEAS_TOL)
+    assert r.ipm.stop == "band" and len(seen) == r.ipm.iterations + 1
+    assert r.ipm.iterations <= first + 2
+    lo, hi = r.bracket
+    if boundary == "in":
+        assert v.is_in and v.margin == lo >= -FEAS_TOL
+        validate_witness(v.witness, rng_t.mats, point.mats)
+    else:
+        assert v.is_marginal and v.detail == {"bracket": [lo, hi],
+                                              "stop": "band"}
 
 
 def test_membership_monotone_under_compression(rng):
@@ -293,7 +339,7 @@ def test_membership_status_is_invariant_under_conjugation(n, m, out, push, seed)
 
 
 @pytest.mark.parametrize("early_stop", [True, False],
-                         ids=["certified", "stalled"])
+                         ids=["certified", "never_settles"])
 def test_level2_out_point_with_a_singular_unitality_block(early_stop,
                                                           monkeypatch):
     # coordinate 0 lifted 0.5 past the range's lambda_max: t* = -1.17.  The
@@ -301,12 +347,12 @@ def test_level2_out_point_with_a_singular_unitality_block(early_stop,
     # 2.4e-11 and 0.5, and a pencil normalized by Z_0^(-1/2) exceeds 1 on
     # the range by 4.7e-4; the certified multipliers y' = y + s w add s I
     # to Z_0, so the pencil's normalization stays bounded.  A solve that
-    # ends uncertified, here with the early stop switched off, returns the
-    # y' of its best iterate as well.
+    # ends uncertified, here with a settle check that never accepts, returns
+    # the y' of its last iterate as well.
     if not early_stop:
         solve = convexity.solve_feasibility
         monkeypatch.setattr(convexity, "solve_feasibility",
-                            lambda prog, settle=None: solve(prog))
+                            lambda prog, settle: solve(prog, lambda *_: False))
     rng = np.random.default_rng(2)
     t = rand_tuple(2, 2, rng, hermitian=True)
     pt = compress(t, rand_isometry(2, 2, rng))
@@ -438,19 +484,40 @@ def test_validate_witness_psd_tolerance_follows_feas_tol(rng):
     u -= (w.conj() @ u) / (w.conj() @ w) * w
     u /= np.linalg.norm(u)
 
-    def lowered(share):
-        c = choi - share * np.linalg.norm(choi) * np.outer(u, u.conj())
-        return ChoiCertificate(c, (4, 2))
+    def lowered(lam):
+        return ChoiCertificate(choi - lam * np.outer(u, u.conj()), (4, 2))
 
-    cert = lowered(5e-8)
-    assert cert.min_eig() == pytest.approx(-5e-8 * np.linalg.norm(cert.choi),
-                                           rel=1e-3)
+    cert = lowered(0.5 * FEAS_TOL)
+    assert cert.min_eig() == pytest.approx(-0.5 * FEAS_TOL, rel=1e-6)
     validate_witness(cert, t.mats, point.mats)
     with pytest.raises(CertificateError, match="eigenvalue"):
         validate_witness(cert, t.mats, point.mats, feas_tol=1e-9)
-    # the default is as strict as the module FEAS_TOL
+    # the default is as strict as the module FEAS_TOL, not a multiple of
+    # it that grows with ||C||_F = 2
     with pytest.raises(CertificateError, match="eigenvalue"):
-        validate_witness(lowered(2e-6), t.mats, point.mats)
+        validate_witness(lowered(2 * FEAS_TOL), t.mats, point.mats)
+
+
+def test_choi_solution_of_an_out_point_is_no_witness(monkeypatch):
+    # (1 + 2e-6, 0) lies 2e-6 outside the unit disk, the matrix range of
+    # the Pauli pair (sx, sz), and membership calls it Out with margin
+    # 1e-6.  The X of its Choi solve is unital and interpolates the point,
+    # but its lambda_min is -1e-6, so it is no witness
+    solves = []
+    solve = convexity.solve_feasibility
+
+    def traced(prog, settle):
+        solves.append(solve(prog, settle))
+        return solves[-1]
+
+    monkeypatch.setattr(convexity, "solve_feasibility", traced)
+    pair = MatrixTuple.from_mats([SX, SZ])
+    point = MatrixTuple.scalar_point([1.0 + 2e-6, 0.0])
+    assert membership(point, pair).is_out
+    cert = ChoiCertificate(solves[0].X, (2, 1))
+    assert cert.min_eig() == pytest.approx(-1e-6, rel=1e-2)
+    with pytest.raises(CertificateError, match="eigenvalue"):
+        validate_witness(cert, pair.mats, point.mats)
 
 
 @pytest.mark.parametrize("eps", [5e-7, 9e-7])

@@ -34,20 +34,36 @@ def _program(*constraints):
     return BlockProgram(F=F, b=b)
 
 
+def _resolving(X, y, lo, hi):
+    """A settle check that accepts the first bracket resolving its midpoint
+    t* within a quarter of max(|t*|, FEAS_TOL)."""
+    return hi - lo <= 0.5 * max(abs(lo + hi) / 2.0, FEAS_TOL)
+
+
+def _narrower_than(width):
+    """A settle check that accepts the first bracket at most `width` wide."""
+    return lambda X, y, lo, hi: hi - lo <= width
+
+
+def _never(X, y, lo, hi):
+    return False
+
+
 def _resolved(r):
-    """The certified bracket holds t_star, its midpoint, which is then
-    within a quarter of max(|t*|, FEAS_TOL) of t*."""
+    """The run ended on a certified bracket that holds t_star, its midpoint,
+    which is then within a quarter of max(|t*|, FEAS_TOL) of t*."""
     lo, hi = r.bracket
+    assert r.ipm.stop == "certified" and r.ipm.converged
     assert lo <= r.t_star <= hi
     assert hi - lo <= 0.5 * max(abs(r.t_star), FEAS_TOL)
     return lo, hi
 
 
-def _feasible(prog):
+def _feasible(prog, settle=_resolving):
     """Solve a one-block program whose slice meets the PSD cone and check the
     primal certificate: t* resolved and certified not below -FEAS_TOL, X PSD
     within FEAS_TOL and on the slice within FEAS_TOL of the data scale."""
-    r = solve_feasibility(prog)
+    r = solve_feasibility(prog, settle)
     lo, _ = _resolved(r)
     assert lo >= -FEAS_TOL
     assert np.linalg.eigvalsh(r.X)[0] >= -FEAS_TOL
@@ -60,7 +76,7 @@ def _infeasible(prog):
     """Solve a one-block program whose slice misses the PSD cone and check
     the Farkas pair: t* resolved and certified below -FEAS_TOL,
     S = sum_k y_k F_k PSD and b . y < -|t*| / 10 < 0."""
-    r = solve_feasibility(prog)
+    r = solve_feasibility(prog, _resolving)
     _, hi = _resolved(r)
     assert hi < -FEAS_TOL
     y = r.farkas_y
@@ -77,7 +93,8 @@ def test_feasible_boundary_example():
 
 
 def test_inconsistent_linear_system():
-    r = solve_feasibility(_program((np.eye(2), 1.0), (2 * np.eye(2), 4.0)))
+    r = solve_feasibility(_program((np.eye(2), 1.0), (2 * np.eye(2), 4.0)),
+                          _resolving)
     assert r.t_star == -np.inf and r.X is None and r.ipm is None
     y = r.farkas_y
     # Farkas: sum y_k F_k = 0 here, with y . b < 0
@@ -95,7 +112,7 @@ def test_psd_infeasible_with_farkas():
 
 def test_feasible_interior_margin():
     # X = I/2 is interior: tr X = 1 on side 2 allows lambda_min up to 1/2
-    r = _feasible(_program((np.eye(2), 1.0)))
+    r = _feasible(_program((np.eye(2), 1.0)), _narrower_than(1e-8))
     assert abs(r.t_star - 0.5) <= 1e-6
 
 
@@ -111,12 +128,14 @@ def test_scaling_invariance_of_status():
 def test_rank_deficiency_raises():
     h = np.diag([1.0, -1.0])
     with pytest.raises(IllConditionedError):
-        solve_feasibility(_program((h, 0.1), (2 * h, 0.2), (np.eye(2), 1.0)))
+        solve_feasibility(_program((h, 0.1), (2 * h, 0.2), (np.eye(2), 1.0)),
+                          _resolving)
 
 
 def test_determinism():
     prog = _program((np.eye(3), 1.0), (np.diag([1.0, -1.0, 0.0]), 0.3))
-    _assert_same_solve(solve_feasibility(prog), solve_feasibility(prog))
+    _assert_same_solve(solve_feasibility(prog, _resolving),
+                       solve_feasibility(prog, _resolving))
 
 
 def test_block_detection():
@@ -142,7 +161,8 @@ def test_block_structured_solve():
     f1[:2, :2] = np.eye(2)
     f2 = np.zeros((4, 4), dtype=complex)
     f2[2:, 2:] = np.eye(2)
-    r = _feasible(BlockProgram(F=np.stack([f1, f2]), b=np.array([1.0, 2.0])))
+    r = _feasible(BlockProgram(F=np.stack([f1, f2]), b=np.array([1.0, 2.0])),
+                  _narrower_than(1e-8))
     lo, hi = r.bracket
     assert lo <= 0.5 <= hi and hi - lo <= 1e-8
     x = r.X
@@ -172,7 +192,7 @@ def test_marginal_infeasibility_band():
 
 def test_solve_feasibility_no_rows():
     prog = BlockProgram(F=np.zeros((0, 2, 2), dtype=complex), b=np.zeros(0))
-    r = solve_feasibility(prog)
+    r = solve_feasibility(prog, _resolving)
     assert r.t_star == np.inf
 
 
@@ -186,37 +206,29 @@ def _level3_choi_program(seed):
 
 
 def _assert_same_solve(a, b):
-    assert a.t_star == b.t_star
+    assert a.t_star == b.t_star and a.bracket == b.bracket
     assert a.ipm.iterations == b.ipm.iterations
-    assert a.ipm.converged == b.ipm.converged
+    assert a.ipm.stop == b.ipm.stop
     np.testing.assert_array_equal(a.farkas_y, b.farkas_y)
     np.testing.assert_array_equal(a.X, b.X)
 
 
-def test_stalled_choi_solve_stops_after_its_best_iterate(monkeypatch):
-    prog = _level3_choi_program(1)
-    r = solve_feasibility(prog)
-    assert r.ipm.stop == "stalled" and not r.ipm.converged
-    assert r.ipm.iterations_run <= r.ipm.iterations + 1 + sdp.STALL_WINDOW
-    monkeypatch.setattr(sdp, "STALL_WINDOW", sdp.MAX_ITER)
-    full = solve_feasibility(prog)
-    assert full.ipm.iterations_run > r.ipm.iterations_run
-    _assert_same_solve(r, full)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_returned_optimum_lies_in_its_bracket(seed):
-    # the returned t* is within its certified bracket, however the run ends
-    r = solve_feasibility(_level3_choi_program(seed))
+    # a level-3 Choi solve narrows its certified bracket to 1e-9, and the
+    # returned t* is its midpoint
+    r = solve_feasibility(_level3_choi_program(seed), _narrower_than(1e-9))
     lo, hi = r.bracket
+    assert r.ipm.stop == "certified"
     assert lo <= r.t_star <= hi and hi - lo <= 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_bracket_holds_at_every_iterate(seed):
     # lo is lambda_min of a point on the slice and hi the value of a dual
-    # feasible point, so lo <= t* <= hi at every iterate; a settle check
-    # that never accepts leaves the run bit-identical
+    # feasible point, so lo <= t* <= hi at every iterate.  A settle check
+    # that never accepts runs the solve to a failure stop, and the returned
+    # iterate is the last one bracketed
     prog = _level3_choi_program(seed)
     seen = []
 
@@ -225,12 +237,12 @@ def test_bracket_holds_at_every_iterate(seed):
         return False
 
     r = solve_feasibility(prog, settle)
-    assert len(seen) == r.ipm.iterations_run - r.ipm.converged
+    assert r.ipm.stop in ("max_iter", "short_step", "factorization")
+    assert not r.ipm.converged
+    assert len(seen) == r.ipm.iterations + 1 and seen[-1] == r.bracket
     for lo, hi in seen:
         assert lo <= hi + 1e-12
-    if not r.ipm.converged:
-        assert seen[r.ipm.iterations] == r.bracket
-    _assert_same_solve(r, solve_feasibility(prog))
+    _assert_same_solve(r, solve_feasibility(prog, _never))
 
 
 def test_settle_ends_the_run_at_the_iterate_it_accepts():
@@ -242,8 +254,8 @@ def test_settle_ends_the_run_at_the_iterate_it_accepts():
         return len(seen) == 4
 
     r = solve_feasibility(prog, settle)
-    assert r.ipm.stop == "certified" and not r.ipm.converged
-    assert r.ipm.iterations == 3 and r.ipm.iterations_run == 4
+    assert r.ipm.stop == "certified" and r.ipm.converged
+    assert r.ipm.iterations == 3
     X, y, lo, hi = seen[-1]
     assert r.X is X and r.farkas_y is y and r.bracket == (lo, hi)
     # y' is dual feasible for the bracket: A*(y') >= 0 up to rounding
@@ -260,9 +272,11 @@ def test_settle_that_gives_up_is_not_called_again():
         calls.append(lo)
         return None
 
+    # None says that no later bracket can be accepted, so the run ends
+    # "band" at the first iterate
     r = solve_feasibility(prog, settle)
-    assert len(calls) == 1 and r.ipm.stop == "stalled"
-    _assert_same_solve(r, solve_feasibility(prog))
+    assert len(calls) == 1 and r.ipm.stop == "band" and r.ipm.converged
+    assert r.ipm.iterations == 0 and r.bracket[0] == calls[0]
 
 
 def test_unitality_combination_of_a_choi_program():
@@ -274,25 +288,33 @@ def test_unitality_combination_of_a_choi_program():
     prog = _program((np.diag([1.0, 0.0]), 1.0))
     assert prog.unitality is None
     with pytest.raises(IllConditionedError):
-        solve_feasibility(prog)
+        solve_feasibility(prog, _resolving)
 
 
 def test_real_rows_bracket_the_optimum():
     # tr X = 1 and X_00 - X_11 = 0.2 leave lambda_min at most 0.4, at
     # diag(0.6, 0.4); real rows give the bracket real blocks A*(y)
     F = np.stack([np.eye(2), np.diag([1.0, -1.0])])
-    r = solve_feasibility(BlockProgram(F=F, b=np.array([1.0, 0.2])))
+    r = solve_feasibility(BlockProgram(F=F, b=np.array([1.0, 0.2])),
+                          _narrower_than(1e-8))
     lo, hi = r.bracket
     assert lo <= 0.4 + 1e-12 and hi >= 0.4 - 1e-12 and hi - lo <= 1e-8
 
 
-def test_converged_solve_ignores_the_stall_window(monkeypatch):
+@pytest.mark.parametrize("accept, stop", [(True, "certified"), (None, "band"),
+                                           (False, None)],
+                         ids=["certified", "band", "never"])
+def test_converged_says_whether_the_settle_check_ended_the_run(accept, stop):
+    # the run converged when its settle check ended it, at the first iterate
+    # here, and not when the iteration failed
     prog = BlockProgram(F=np.eye(2, dtype=complex)[None], b=np.array([1.0]))
-    r = solve_feasibility(prog)
-    assert r.ipm.stop == "converged" and r.ipm.converged
-    assert r.ipm.iterations_run == r.ipm.iterations + 1
-    monkeypatch.setattr(sdp, "STALL_WINDOW", sdp.MAX_ITER)
-    _assert_same_solve(r, solve_feasibility(prog))
+    r = solve_feasibility(prog, lambda X, y, lo, hi: accept)
+    if accept is False:
+        assert r.ipm.stop in ("max_iter", "short_step", "factorization")
+        assert not r.ipm.converged
+    else:
+        assert r.ipm.stop == stop and r.ipm.iterations == 0
+        assert r.ipm.converged
 
 
 def _dense_choi_rows(range_coords, point_coords, frame, m):
