@@ -25,11 +25,31 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
+class _Rows(list):
+    """The list complex_rows returns, which _emit writes a row at a time."""
+
+
 def complex_rows(m) -> list:
     """A complex matrix as its rows of [re, im] pairs, the encoding of every
     matrix in a report."""
-    return [[[re, im] for re, im in zip(rr, ri)]
-            for rr, ri in zip(m.real.tolist(), m.imag.tolist())]
+    return _Rows([[re, im] for re, im in zip(rr, ri)]
+                 for rr, ri in zip(m.real.tolist(), m.imag.tolist()))
+
+
+def _emit_rows(rows: _Rows, out: list) -> None:
+    """format_float's output for every entry, with one %-format per row:
+    %.17g is the format format_float uses, and adding 0.0 turns -0.0 into
+    the 0.0 that %.17g writes as "0"."""
+    out.append("[")
+    for i, row in enumerate(rows):
+        flat = tuple(x + 0.0 for pair in row for x in pair)
+        if not all(map(math.isfinite, flat)):
+            for x in flat:
+                format_float(x)  # raises on the first non-finite entry
+        if i:
+            out.append(",")
+        out.append("[" + ",".join(["[%.17g,%.17g]"] * len(row)) % flat + "]")
+    out.append("]")
 
 
 def _emit(obj, out: list) -> None:
@@ -45,6 +65,8 @@ def _emit(obj, out: list) -> None:
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(_escape(obj))
+    elif type(obj) is _Rows:
+        _emit_rows(obj, out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

@@ -744,7 +744,7 @@ def polytope_from_dict(doc: dict) -> PolytopeBody:
 
 def _in_hull(point: np.ndarray, pts: np.ndarray, tol: float = 1e-9) -> bool:
     # imported here: only the polytope commands reach a linear program, and
-    # scipy.optimize is the slowest import of the package
+    # nothing else needs scipy, which loads a second BLAS library
     from scipy.optimize import linprog
 
     if len(pts) == 0:

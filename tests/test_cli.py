@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from matrange import _jsonutil
 from matrange.cli import EXIT_ERROR, EXIT_MARGINAL, EXIT_NO, EXIT_YES, load_tuple, main
 from matrange.convexity import (
     ChoiCertificate,
@@ -274,6 +275,11 @@ def _pencil(doc):
                   level=doc["level"], hermitian_input=doc["hermitian_input"])
 
 
+# the variables OpenBLAS and MKL read their thread count from
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+             "MKL_NUM_THREADS")
+
+
 @pytest.mark.parametrize("push, code", [(None, EXIT_YES), (0.05, EXIT_NO)],
                          ids=["in", "out"])
 def test_member_verdict_does_not_depend_on_blas_threads(tmp_path, push, code):
@@ -284,8 +290,11 @@ def test_member_verdict_does_not_depend_on_blas_threads(tmp_path, push, code):
     args = [sys.executable, "-m", "matrange.cli", "member",
             "--point", write_tuple(tmp_path / "point.json", point),
             "--range", write_tuple(tmp_path / "range.json", rng_t)]
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    for threads in ("1", "2", None):
+        # None leaves the thread count to the BLAS library's default
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
         proc = subprocess.run(args, capture_output=True, text=True, env=env)
         assert proc.returncode == code, proc.stderr
         report = json.loads(proc.stdout)
@@ -297,13 +306,47 @@ def test_member_verdict_does_not_depend_on_blas_threads(tmp_path, push, code):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize is the slowest import and only the polytope commands
-    # solve a linear program, so they import it when they need it;
-    # scipy.sparse is needed by no command
+    # only the polytope commands need scipy, for scipy.optimize's linear
+    # programs, so they import it when they need it; scipy would also load
+    # a second BLAS library into the process
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, matrange.cli; "
-         "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"],
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "[]"
+
+
+def _complex(re, im):
+    """re + i im with the signs of zeros kept, which re + 1j * im loses."""
+    m = np.empty(np.shape(re), dtype=complex)
+    m.real, m.imag = re, im
+    return m
+
+
+@pytest.mark.parametrize("entries", [
+    [0.0, -0.0, 1.0, -1.0], [5e-324, -5e-324, 1e308, -1e308],
+    [0.1, 1.0 / 3.0, 1e16, 123456789.0]], ids=["zeros", "extremes", "digits"])
+def test_complex_rows_emit_as_the_generic_encoder_does(entries):
+    # complex_rows is written a row at a time; a plain list of the same rows
+    # goes through the generic encoder, one float at a time
+    rng = np.random.default_rng(len(entries))
+    e = np.array(entries)
+    for m in (_complex(e.reshape(2, 2), e[::-1].reshape(2, 2)),
+              _complex(e[None], -e[None]),
+              _complex(rng.standard_normal((5, 3)), rng.standard_normal((5, 3))),
+              np.zeros((0, 3), dtype=complex), np.zeros((2, 0), dtype=complex)):
+        rows = _jsonutil.complex_rows(m)
+        assert rows == [[[z.real, z.imag] for z in r] for r in m]
+        assert _jsonutil.dumps({"m": rows}) == _jsonutil.dumps({"m": list(rows)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_complex_rows_refuse_non_finite_entries(bad):
+    m = np.array([[1.0, 2.0 + 1j * bad]])
+    with pytest.raises(ValueError) as fast:
+        _jsonutil.dumps(_jsonutil.complex_rows(m))
+    with pytest.raises(ValueError) as generic:
+        _jsonutil.dumps(list(_jsonutil.complex_rows(m)))
+    assert str(fast.value) == str(generic.value)

@@ -317,6 +317,58 @@ def test_converged_says_whether_the_settle_check_ended_the_run(accept, stop):
         assert r.ipm.converged
 
 
+def test_max_iter_run_takes_no_step_from_its_last_iterate(monkeypatch):
+    # every iterate run is bracketed, and every one but the last is factored
+    # for a step; the step from the last would be dropped
+    factored = []
+    inverse_factor = sdp._inverse_factor
+    monkeypatch.setattr(sdp, "_inverse_factor",
+                        lambda Xb: factored.append(Xb) or inverse_factor(Xb))
+    seen = []
+    F = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    r = solve_feasibility(BlockProgram(F=F, b=np.array([1.0, 0.2])),
+                          lambda X, y, lo, hi: seen.append(lo) or False)
+    assert r.ipm.stop == "max_iter"
+    assert len(seen) == r.ipm.iterations + 1 == sdp.MAX_ITER
+    # X and Z are factored once each per step
+    assert len(factored) == 2 * (len(seen) - 1)
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_min_eigenvalue_is_the_bottom_of_the_spectrum(complex_input):
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 42):
+        g = rng.standard_normal((n, n))
+        if complex_input:
+            g = g + 1j * rng.standard_normal((n, n))
+        S = (g + g.conj().T) / 2.0
+        spectrum = np.linalg.eigvals(S).real
+        assert abs(sdp._min_eigenvalue(S) - spectrum.min()) \
+            <= 1e-12 * max(1.0, np.abs(spectrum).max())
+
+
+def test_inverse_factor_whitens_its_matrix():
+    rng = np.random.default_rng(8)
+    X = _rand_pd(12, rng)
+    iL = sdp._inverse_factor(X)
+    assert np.allclose(iL, np.tril(iL))
+    np.testing.assert_allclose(iL @ X @ iL.conj().T, np.eye(12), atol=1e-12)
+    # an X with an eigenvalue just below 0 has no Cholesky factor; iL
+    # whitens X + jI instead, for the first jitter j of the sequence
+    # 1e-15 max(1, max |X|) 16^k that gives one
+    U = np.linalg.qr(rng.standard_normal((4, 4))
+                     + 1j * rng.standard_normal((4, 4)))[0]
+    X = U @ np.diag([-1e-6, 0.5, 1.0, 2.0]) @ U.conj().T
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(X)
+    iL = sdp._inverse_factor(X)
+    assert np.allclose(iL, np.tril(iL))
+    jitters = 1e-15 * max(1.0, np.abs(X).max()) * 16.0 ** np.arange(12)
+    whitened = [np.allclose(iL @ (X + j * np.eye(4)) @ iL.conj().T, np.eye(4),
+                            rtol=0, atol=1e-8) for j in jitters]
+    assert whitened.index(True) == 8 and whitened.count(True) == 1
+
+
 def _dense_choi_rows(range_coords, point_coords, frame, m):
     """The Choi program's rows built explicitly with np.kron, and its
     right-hand side: row (j, p) is C_j (x) E_p with C_0 = I and C_j the
