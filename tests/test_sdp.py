@@ -355,7 +355,7 @@ def test_inverse_factor_whitens_its_matrix():
     np.testing.assert_allclose(iL @ X @ iL.conj().T, np.eye(12), atol=1e-12)
     # an X with an eigenvalue just below 0 has no Cholesky factor; iL
     # whitens X + jI instead, for the first jitter j of the sequence
-    # 1e-15 max(1, max |X|) 16^k that gives one
+    # 1e-15 max(1, max |X|) 16^k that gives one: k = 8, the first above 1e-6
     U = np.linalg.qr(rng.standard_normal((4, 4))
                      + 1j * rng.standard_normal((4, 4)))[0]
     X = U @ np.diag([-1e-6, 0.5, 1.0, 2.0]) @ U.conj().T
