@@ -2,9 +2,9 @@
 
 Subcommands wrap the public operations one-to-one and print a single JSON
 (or text) report to stdout.  Exit codes: 0 affirmative, 1 negative,
-2 marginal or indeterminate, 3 error.  Flags --tol/--seed/--format/--boundary
-may also come from the environment (MATRANGE_TOL, MATRANGE_SEED,
-MATRANGE_FORMAT, MATRANGE_BOUNDARY); explicit flags win.
+2 marginal or indeterminate, 3 error (any exception).  Flags --tol/--seed/
+--format/--boundary may also come from the environment (MATRANGE_TOL,
+MATRANGE_SEED, MATRANGE_FORMAT, MATRANGE_BOUNDARY); explicit flags win.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 from . import _jsonutil
@@ -291,6 +292,11 @@ def main(argv=None) -> int:
         code, report = run(ns.command, args, config)
     except MatrangeError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except Exception as exc:
+        # a fault, which must not read as "negative": traceback, then type
+        traceback.print_exc()
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
     if config.output_format == "json":
         sys.stdout.write(_jsonutil.dumps(report) + "\n")

@@ -29,7 +29,7 @@ from .errors import (
     NotSeparableError,
 )
 from .matcore import MatrixTuple, direct_sum_all, frob, herm_split
-from .sdp import BlockProgram, hermitian_basis, solve_feasibility
+from .sdp import RANK_TOL, BlockProgram, hermitian_basis, solve_feasibility
 
 FEAS_TOL = 1e-7
 VALIDATE_TOL = 1e-6
@@ -209,31 +209,6 @@ def _shared_coords(point: MatrixTuple, rng_t: MatrixTuple):
     return herm_split(point).mats, herm_split(rng_t).mats, False
 
 
-def find_relations(coords: np.ndarray, tol: float = 1e-10) -> list[tuple]:
-    """Affine relations sum_j alpha_j H_j = beta I satisfied by the range
-    coordinates, each normalized to |alpha| = 1."""
-    dd, n, _ = coords.shape
-    cols = [np.eye(n, dtype=complex).reshape(-1)]
-    cols += [coords[j].reshape(-1) for j in range(dd)]
-    mat = np.stack(cols, axis=1)
-    real = np.vstack([mat.real, mat.imag])
-    # a wide system has null vectors beyond its rows, which only the full
-    # vh holds; then u is the smaller factor
-    _, s, vh = np.linalg.svd(real, full_matrices=real.shape[0] < real.shape[1])
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    out = []
-    for i in range(vh.shape[0]):
-        if i < len(s) and s[i] > tol * scale:
-            continue
-        v = vh[i]
-        alpha = v[1:]
-        nrm = float(np.linalg.norm(alpha))
-        if nrm < tol:
-            continue
-        out.append((alpha / nrm, -float(v[0]) / nrm))
-    return out
-
-
 @dataclass(frozen=True)
 class CoordinateFrame:
     """Kept coordinate indices, interior translation, and dropped relations."""
@@ -246,24 +221,34 @@ class CoordinateFrame:
 
 
 def build_frame(range_coords: np.ndarray, hermitian_input: bool) -> CoordinateFrame:
+    """Affine relations sum_j alpha_j H_j = beta I of the range, with
+    |alpha| = 1, and the coordinates kept once one is dropped per relation.
+
+    The Choi program's Gram matrix is n (+) G, for G the Gram matrix of the
+    centered coordinates H_j - c_j I, c_j = tr H_j / n.  An eigenvector of G
+    is a relation, with beta = alpha.c, when its eigenvalue is at most
+    RANK_TOL max(n, lambda_max(G)), the bound at which solve_feasibility
+    refuses dependent rows.  Each relation drops its coordinate of largest
+    |alpha_j|, which is eliminated from the later relations."""
     dd, n, _ = range_coords.shape
-    kept = list(range(dd))
+    center = np.trace(range_coords, axis1=1, axis2=2).real / n
+    centered = (range_coords - center[:, None, None] * np.eye(n)).reshape(dd, n * n)
+    evals, evecs = np.linalg.eigh((centered.conj() @ centered.T).real)
+    null = evecs[:, evals <= RANK_TOL * max(n, evals[-1])]
     relations: list[tuple] = []
-    while len(kept) > 0:
-        rels = find_relations(range_coords[kept])
-        if not rels:
-            break
-        alpha_red, beta = rels[0]
-        alpha = np.zeros(dd)
-        for idx, j in enumerate(kept):
-            alpha[j] = alpha_red[idx]
-        relations.append((alpha, beta))
-        kept.remove(kept[int(np.argmax(np.abs(alpha_red)))])
-    center = np.zeros(dd)
-    for j in kept:
-        center[j] = float(np.trace(range_coords[j]).real) / n
-    return CoordinateFrame(total=dd, kept=tuple(kept), center=center,
-                           relations=tuple(relations),
+    dropped: list[int] = []
+    for i in range(null.shape[1]):
+        alpha = null[:, i] / np.linalg.norm(null[:, i])
+        # zero on the coordinates dropped before
+        j = int(np.argmax(np.abs(alpha)))
+        null[:, i + 1:] -= np.outer(alpha / alpha[j], null[j, i + 1:])
+        null[j, i + 1:] = 0.0
+        relations.append((alpha, float(alpha @ center)))
+        dropped.append(j)
+    center[dropped] = 0.0
+    return CoordinateFrame(total=dd,
+                           kept=tuple(j for j in range(dd) if j not in dropped),
+                           center=center, relations=tuple(relations),
                            hermitian_input=hermitian_input)
 
 
@@ -491,6 +476,16 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
     """
     point_coords, range_coords, hermitian_input = _shared_coords(point, rng_t)
 
+    # a literal block of the range satisfies every relation of the range,
+    # also one that holds only within RANK_TOL
+    if boundary == BOUNDARY_IN:
+        fast = _fast_subblock_witness(point, rng_t)
+        if fast is not None:
+            validate_witness(fast, range_coords, point_coords,
+                             feas_tol=feas_tol)
+            return MembershipVerdict(status=IN, margin=0.0, witness=fast,
+                                     detail={"witness_path": "subblock"})
+
     # range-side affine relations must be satisfied by any member
     frame = build_frame(range_coords, hermitian_input)
     scale = max(1.0, float(np.abs(range_coords).max()),
@@ -505,14 +500,6 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
             return MembershipVerdict(status=OUT, margin=vnorm, separator=pencil,
                                      separator_violation=violation,
                                      detail={"relation_violation": vnorm})
-
-    if boundary == BOUNDARY_IN:
-        fast = _fast_subblock_witness(point, rng_t)
-        if fast is not None:
-            validate_witness(fast, range_coords, point_coords,
-                             feas_tol=feas_tol)
-            return MembershipVerdict(status=IN, margin=0.0, witness=fast,
-                                     detail={"witness_path": "subblock"})
 
     if split_point and point.n > 1 and commutant_dim(point) > 1:
         return _membership_split_point(point, rng_t, point_coords, range_coords,

@@ -22,8 +22,9 @@ class NonIrreducibleInputError(MatrangeError):
 
 
 class IllConditionedError(MatrangeError):
-    """Constraint Gram matrix is rank deficient beyond sdp.RANK_TOL, or no
-    combination of the constraints gives the identity."""
+    """Constraint rows are none or dependent beyond sdp.RANK_TOL, or no
+    combination of them gives the identity.  Membership poses independent
+    rows only: build_frame finds range relations at the same bound."""
 
 
 class CertificateError(MatrangeError):

@@ -33,9 +33,10 @@ from .convexity import (
 from .decomp import (
     EQUIV_TOL,
     BlockDecomposition,
+    _intertwiner,
     canonical_key,
     irreducible_decomposition,
-    unitary_equivalent,
+    unitary_equivalent,  # unused here; bench/spans.py wraps it at this name
 )
 from .errors import (
     CertificateError,
@@ -303,37 +304,38 @@ def recover_unitary(s: MatrixTuple, t: MatrixTuple, seed: int = 0, *,
     ok_s, rep_s = is_fully_compressed(s, seed=seed, feas_tol=feas_tol)
     if not ok_s:
         raise NotMinimalError("first tuple is not minimal")
-    ok_t, rep_t = is_fully_compressed(t, seed=seed, feas_tol=feas_tol)
-    if not ok_t:
-        raise NotMinimalError("second tuple is not minimal")
-
+    # a tuple unitarily equivalent to a fully compressed one is fully
+    # compressed, so t is classified only when its summands do not match
+    dec_t = irreducible_decomposition(t, seed=seed)
     blocks_s = rep_s.crucial
-    blocks_t = rep_t.crucial
+    blocks_t = [blk for blk, _ in dec_t.blocks]
     perm: list[int] = []
     intertwiners: list[np.ndarray] = []
-    used = set()
-    matched = len(blocks_s) == len(blocks_t)
+    matched = len(blocks_s) == len(blocks_t) \
+        and all(mult == 1 for _, mult in dec_t.blocks)
     if matched:
         for bs in blocks_s:
-            found = None
+            # leaves of both decompositions, which the dense system already
+            # found irreducible; blocks of different sizes have error inf
             for j, bt in enumerate(blocks_t):
-                if j in used or bt.n != bs.n:
+                if j in perm:
                     continue
-                w = unitary_equivalent(bs, bt, equiv_tol)
-                if w is not None:
-                    found = (j, _fix_phase(w))
+                w, err = _intertwiner(bs, bt)
+                if err <= equiv_tol:
+                    perm.append(j)
+                    intertwiners.append(_fix_phase(w))
                     break
-            if found is None:
+            else:
                 matched = False
                 break
-            perm.append(found[0])
-            used.add(found[0])
-            intertwiners.append(found[1])
     if not matched:
-        _raise_not_equivalent(blocks_s, blocks_t, s, t, feas_tol)
+        ok_t, rep_t = is_fully_compressed(t, seed=seed, feas_tol=feas_tol)
+        if not ok_t:
+            raise NotMinimalError("second tuple is not minimal")
+        _raise_not_equivalent(blocks_s, rep_t.crucial, s, t, feas_tol)
 
     u_s = rep_s.decomposition.unitary
-    u_t = rep_t.decomposition.unitary
+    u_t = dec_t.unitary
     sizes_s = [b.n for b in blocks_s]
     sizes_t = [b.n for b in blocks_t]
     off_s = np.concatenate([[0], np.cumsum(sizes_s)])

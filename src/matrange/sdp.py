@@ -10,9 +10,9 @@ interior-point methods for semidefinite programming", 1997).
 
 Feasibility is decided through t* = max { lambda_min(X) : A(X) = b }, the
 largest attainable smallest eigenvalue on the affine slice;
-solve_feasibility is the one entry point.  Every program it solves has a
-unitality combination w with A*(w) = I, so that tr X = tau = w.b on the
-slice.  With Y = X - tI on side N, max t becomes the program
+solve_feasibility is the one entry point.  Every program it solves has
+independent rows, so the slice is never empty, and a unitality combination
+w with A*(w) = I, so that tr X = tau = w.b on the slice.  With Y = X - tI on side N, max t becomes the program
 
     minimize tr Y  subject to  A'(Y) = b',  Y >= 0,
 
@@ -54,7 +54,8 @@ from .errors import DimensionError, IllConditionedError
 from .matcore import frob
 
 MAX_ITER = 120
-# Gram eigenvalues below RANK_TOL times the largest mark dependent rows
+# Gram eigenvalues below RANK_TOL times the largest mark dependent rows;
+# convexity.build_frame drops range coordinates by the same bound
 RANK_TOL = 1e-10
 
 
@@ -148,14 +149,13 @@ class BlockProgram:
         return np.linalg.eigh(self.gram())
 
     def gram_solve(self, v: np.ndarray) -> np.ndarray:
-        """G^+ v over the Gram eigenvalues above RANK_TOL times the largest."""
+        """G^-1 v, for rows that solve_feasibility has found independent."""
         evals, evecs = self.gram_eigh
-        keep = evals > RANK_TOL * max(float(evals[-1]), 1e-300)
-        return evecs[:, keep] @ ((evecs[:, keep].T @ v) / evals[keep])
+        return evecs @ ((evecs.T @ v) / evals)
 
     @cached_property
     def unitality(self) -> Optional[np.ndarray]:
-        """w = G^+ A(I), the row combination with A*(w) = I, or None when
+        """w = G^-1 A(I), the row combination with A*(w) = I, or None when
         A*(w) misses I beyond rounding.  Every Choi program has one, its
         unitality rows."""
         eye = np.eye(self.side, dtype=complex)
@@ -402,27 +402,10 @@ class FeasibilityResult:
     direction: its dual multipliers, lifted to a PSD A*(y)."""
 
     t_star: float
-    X: Optional[np.ndarray]
-    farkas_y: Optional[np.ndarray]
-    ipm: Optional[IpmResult]
-    bracket: tuple = (-np.inf, np.inf)
-
-
-def _affine_start(prog: BlockProgram):
-    """Minimum-norm Hermitian solution of A(X) = b.
-
-    Also reports the residual, whether the system is consistent and whether
-    the Gram matrix is rank deficient beyond RANK_TOL.
-    """
-    evals = prog.gram_eigh[0]
-    lam_max = max(float(evals[-1]), 1e-300)
-    rank_deficient = bool(np.any(evals <= RANK_TOL * lam_max))
-    X0 = _hermitize(prog.apply_At(prog.gram_solve(prog.b)))
-    resid = prog.b - prog.apply_A(X0)
-    resid_norm = float(np.linalg.norm(resid))
-    bscale = max(1.0, float(np.linalg.norm(prog.b)))
-    consistent = resid_norm <= 1e-9 * bscale * max(1.0, np.sqrt(lam_max))
-    return X0, resid, consistent, rank_deficient
+    X: np.ndarray
+    farkas_y: np.ndarray
+    ipm: IpmResult
+    bracket: tuple
 
 
 def _bracket(prog: BlockProgram, t: float, Y: np.ndarray, y: np.ndarray) -> tuple:
@@ -435,7 +418,7 @@ def _bracket(prog: BlockProgram, t: float, Y: np.ndarray, y: np.ndarray) -> tupl
     t* <= hi = b.y' / tr A*(y').
 
     The projection leaves a residual r = b - A(X) of rounding size, and the
-    nearest point of the slice is ||A*(G^+ r)||_F away, so lo is lowered by
+    nearest point of the slice is ||A*(G^-1 r)||_F away, so lo is lowered by
     that much (Jansson, Chaykin and Keil).  Each lambda_min
     is computed in floating point too, so lo is lowered and s raised by N
     eps times the Frobenius norm (at least 1 for s), a bound on its
@@ -459,30 +442,19 @@ def solve_feasibility(prog: BlockProgram,
                       ) -> FeasibilityResult:
     """Decide {X >= 0 : A(X) = b} with certificates, via max lambda_min.
 
-    t_star is -inf, with farkas_y the Farkas direction, when A(X) = b has no
-    solution at all.  Dependent rows, and rows without a unitality
-    combination, raise IllConditionedError.  Otherwise `settle` is called
-    as settle(X, y', lo, hi) with each iterate's _bracket: True ends the run
-    "certified" at that iterate, None ends it "band", as no later bracket
-    can be accepted either, and False goes on.  `X`, `farkas_y` and
-    `bracket` are those of the returned iterate, the last one bracketed.
+    Rows that are dependent beyond RANK_TOL, no rows at all and rows
+    without a unitality combination raise IllConditionedError.  Otherwise
+    `settle` is called as settle(X, y', lo, hi) with each iterate's
+    _bracket: True ends the run "certified" at that iterate, None ends it
+    "band", as no later bracket can be accepted either, and False goes on.
+    `X`, `farkas_y` and `bracket` are those of the returned iterate, the
+    last one bracketed.
     """
-    if prog.num_rows == 0:
-        return FeasibilityResult(np.inf, np.eye(prog.side, dtype=complex),
-                                 None, None)
-
-    X0, resid, consistent, rank_deficient = _affine_start(prog)
-    if not consistent:
-        # Farkas certificate for affine inconsistency: the residual direction
-        # is orthogonal to range(A), so A*(y) = 0 while b . y < 0
-        y = -resid / max(float(np.linalg.norm(resid)), 1e-300)
-        if float(prog.b @ y) > 0:
-            y = -y
-        return FeasibilityResult(-np.inf, None, y, None)
-    if rank_deficient:
+    evals = prog.gram_eigh[0]
+    if not evals.size or evals[0] <= RANK_TOL * evals[-1]:
         raise IllConditionedError(
-            "constraint Gram matrix is rank deficient beyond RANK_TOL; "
-            "remove dependent constraints")
+            "constraint Gram matrix is empty or rank deficient beyond "
+            "RANK_TOL; remove dependent constraints")
 
     sp = _TraceProgram(prog)
     found = ()
@@ -492,7 +464,9 @@ def solve_feasibility(prog: BlockProgram,
         found = _bracket(prog, sp.shift(r.X), r.X, sp.lift(r.y))
         return settle(*found)
 
-    # Y = X0 - t0 I has lambda_min 1
+    # A is onto, so the minimum-norm solution X0 misses b by rounding only,
+    # which _bracket allows for; Y = X0 - t0 I has lambda_min 1
+    X0 = _hermitize(prog.apply_At(prog.gram_solve(prog.b)))
     t0 = _min_eigenvalue(X0) - 1.0
     res = _ipm(sp, X0 - t0 * np.eye(prog.side), check)
     X, farkas, lo, hi = found

@@ -186,6 +186,21 @@ def test_separate_exit_code_follows_the_verdict_status(pauli_file, tmp_path,
     assert main(args) == EXIT_NO
 
 
+def test_unexpected_exception_is_an_error_not_a_negative(
+        bary_file, simplex_file, monkeypatch, capsys):
+    from matrange import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr(cli, "membership", broken)
+    assert main(["member", "--point", bary_file,
+                 "--range", simplex_file]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "RuntimeError: broken solver" in err
+
+
 def test_equiv_round_trip(tmp_path, rng, capsys):
     from conftest import rand_unitary
     from matrange.matcore import conjugate

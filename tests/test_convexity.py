@@ -8,10 +8,10 @@ from matrange.convexity import (
     ChoiCertificate,
     Pencil,
     PolytopeBody,
+    _choi_program,
     build_frame,
     choi_of_compression,
     exposing_pencil,
-    find_relations,
     hull_vertices,
     inclusion,
     membership,
@@ -26,6 +26,7 @@ from matrange.convexity import (
 from matrange.errors import (
     CertificateError,
     DimensionError,
+    MatrangeError,
     NoGapError,
     NotSeparableError,
 )
@@ -563,24 +564,31 @@ def test_pencil_evaluation_matches_the_kron_sum(rng):
                                    atol=1e-13 * np.abs(want).max())
 
 
-def _full_svd_relations(coords, tol=1e-10):
-    """find_relations through the full SVD, whose vh holds every null
-    vector of the (2n^2, d+1) system."""
+def _iterative_frame(coords, tol=1e-10):
+    """Reference (kept, relations) for build_frame, one relation at a
+    time: per relation one full SVD of the (2n^2, d+1) system
+    [vec I, vec H_j] over the kept coordinates, whose singular values up to
+    tol times the largest, and the null vectors beyond its rows, are
+    relations; the first is recorded and its coordinate of largest |alpha|
+    dropped, until none is left."""
     dd, n, _ = coords.shape
-    mat = np.stack([np.eye(n, dtype=complex).reshape(-1)]
-                   + [coords[j].reshape(-1) for j in range(dd)], axis=1)
-    real = np.vstack([mat.real, mat.imag])
-    _, s, vh = np.linalg.svd(real, full_matrices=True)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    out = []
-    for i in range(vh.shape[0]):
-        if i < len(s) and s[i] > tol * scale:
-            continue
-        alpha = vh[i][1:]
-        nrm = float(np.linalg.norm(alpha))
-        if nrm >= tol:
-            out.append((alpha / nrm, -float(vh[i][0]) / nrm))
-    return out
+    kept = list(range(dd))
+    relations = []
+    while kept:
+        mat = np.stack([np.eye(n, dtype=complex).reshape(-1)]
+                       + [coords[j].reshape(-1) for j in kept], axis=1)
+        _, s, vh = np.linalg.svd(np.vstack([mat.real, mat.imag]))
+        null = [v for i, v in enumerate(vh)
+                if (i >= len(s) or s[i] <= tol * s[0])
+                and np.linalg.norm(v[1:]) >= tol]
+        if not null:
+            break
+        nrm = float(np.linalg.norm(null[0][1:]))
+        alpha = np.zeros(dd)
+        alpha[kept] = null[0][1:] / nrm
+        relations.append((alpha, -float(null[0][0]) / nrm))
+        kept.remove(kept[int(np.argmax(np.abs(null[0][1:])))])
+    return tuple(kept), relations
 
 
 def _range_with_relations(n, d, rng):
@@ -592,26 +600,77 @@ def _range_with_relations(n, d, rng):
 
 
 @pytest.mark.parametrize("n, d", [(1, 3), (2, 9), (3, 5), (4, 4)])
-def test_relations_match_the_full_svd(n, d, rng, monkeypatch):
+def test_relations_match_the_full_svd(n, d, rng):
     # (1, 3) and (2, 9) have more columns d + 1 than rows 2 n^2, where null
-    # vectors lie beyond the rows of a thin SVD; (3, 5) and (4, 4) are tall
+    # vectors lie beyond the rows of a thin SVD; (3, 5) and (4, 4) are tall.
+    # Past one relation each method picks its own basis of the relations,
+    # so the two are compared as spans
     coords = _range_with_relations(n, d, rng)
     rank = np.linalg.matrix_rank(np.stack(
         [np.eye(n).reshape(-1)] + [c.reshape(-1) for c in coords], axis=1))
-    rels = find_relations(coords)
-    assert len(rels) == d + 1 - rank
-    for alpha, beta in rels:
+    frame = build_frame(coords, True)
+    kept, ref = _iterative_frame(coords)
+    assert len(frame.relations) == len(ref) == d + 1 - rank
+    assert len(frame.kept) == len(kept) == rank - 1
+    for alpha, beta in frame.relations:
         np.testing.assert_allclose(np.einsum("j,jab->ab", alpha, coords),
                                    beta * np.eye(n), atol=1e-9)
+    both = np.array([np.append(alpha, beta)
+                     for alpha, beta in list(frame.relations) + ref])
+    assert np.linalg.matrix_rank(both, tol=1e-8) == d + 1 - rank
+    # the kept coordinates are independent, so the Choi program passes the
+    # rank check of solve_feasibility
+    evals = _choi_program(coords, coords[:, :1, :1], frame).gram_eigh[0]
+    assert evals[0] > sdp.RANK_TOL * evals[-1]
+
+
+def test_one_relation_is_the_one_the_iterative_loop_finds(rng):
+    # one relation leaves no choice of basis: up to sign the same relation,
+    # and the same coordinate dropped
+    mats = [rand_herm(3, rng) for _ in range(3)]
+    coords = np.stack(mats + [0.5 * mats[0] - 0.3 * mats[2] + 0.2 * np.eye(3)])
     frame = build_frame(coords, True)
-    monkeypatch.setattr(convexity, "find_relations", _full_svd_relations)
-    ref = build_frame(coords, True)
-    assert frame.kept == ref.kept
-    for (alpha, beta), (ref_alpha, ref_beta) in zip(frame.relations,
-                                                    ref.relations,
-                                                    strict=True):
-        np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12)
-        assert beta == pytest.approx(ref_beta, abs=1e-12)
+    kept, ((ref_alpha, ref_beta),) = _iterative_frame(coords)
+    assert frame.kept == kept == (0, 1, 2)
+    (alpha, beta), = frame.relations
+    sign = np.sign(alpha @ ref_alpha)
+    np.testing.assert_allclose(sign * alpha, ref_alpha, atol=1e-12)
+    assert sign * beta == pytest.approx(ref_beta, abs=1e-12)
+
+
+def _near_dependent_case(eps, side):
+    """A random 6 x 6 range (a, b, c) with c = 0.5a - 0.3b + 0.2I + eps E,
+    and a level-2 point: its compression for "in", and for "out" three
+    times the compression of (a, b) with the exact relation for c."""
+    rng = np.random.default_rng(3)
+    a, b, e = (rand_herm(6, rng) for _ in range(3))
+    e /= np.linalg.norm(e)
+    v = rand_isometry(6, 2, rng)
+    rng_t = MatrixTuple.from_mats([a, b, 0.5 * a - 0.3 * b + 0.2 * np.eye(6)
+                                   + eps * e])
+    if side == "in":
+        return compress(rng_t, v), rng_t
+    pa, pb = (3.0 * v.conj().T @ x @ v for x in (a, b))
+    return MatrixTuple.from_mats([pa, pb, 0.5 * pa - 0.3 * pb
+                                  + 0.2 * np.eye(2)]), rng_t
+
+
+@pytest.mark.parametrize("eps, side", [(eps, side)
+                                       for eps in (1e-9, 1e-7, 1e-6, 1e-5)
+                                       for side in ("in", "out")])
+def test_near_dependent_range_gets_a_verdict_or_a_matrange_error(eps, side):
+    # relations are found at the bound at which solve_feasibility refuses
+    # dependent rows, so a near relation never reaches the solver as one
+    point, rng_t = _near_dependent_case(eps, side)
+    try:
+        v = membership(point, rng_t)
+    except MatrangeError:
+        return
+    if v.is_in:
+        validate_witness(v.witness, rng_t.mats, point.mats)
+    elif v.is_out:
+        assert side == "out"
+        validate_separator(v.separator, rng_t, point)
 
 
 # --- exposing pencils --------------------------------------------------------

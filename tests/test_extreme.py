@@ -262,6 +262,19 @@ def test_recover_unitary_round_trip(rng):
     assert np.linalg.norm(recon.mats - t.mats) <= 1e-8 * max(1.0, t.scale())
 
 
+def test_recover_unitary_classifies_the_first_tuple_only(rng, solves):
+    # a tuple unitarily equivalent to a fully compressed one is fully
+    # compressed, so once the summands match, t needs no solve of its own
+    t = direct_sum_all(crucial_family(rng, [1, 2, 2]))
+    s = conjugate(t, rand_unitary(t.n, rng))
+    solves[0] = 0
+    is_fully_compressed(s, seed=20)
+    alone, solves[0] = solves[0], 0
+    w = recover_unitary(s, t, seed=20)
+    assert alone > 0 and solves[0] == alone
+    assert w.residual <= 1e-8
+
+
 def test_recover_unitary_rejects_nonminimal():
     with pytest.raises(NotMinimalError):
         recover_unitary(direct_sum_all([PAULI, PAULI]),

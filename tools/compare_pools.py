@@ -13,11 +13,11 @@ checked with bench/checks.py against the pool's constructed expectation.
 Printed: every operation whose exit code or status differs, or that raised
 on one side only; then one JSON summary line per pool with the counts of
 operations, exit-code and status mismatches, byte-identical reports,
-reports that differ in floating-point values only, and per side the IPM
-iterations run over the pool, the operations that raised and the reports
-that failed their check.  The exit status is 1 when any exit code or
-status differs, else 0.  The script only reads bench/; it changes nothing
-there.
+reports that differ in floating-point values only, and per side the Choi
+solves and IPM iterations run over the pool, the operations that raised
+and the reports that failed their check.  The exit status is 1 when any
+exit code or status differs, else 0.  The script only reads bench/; it
+changes nothing there.
 """
 
 from __future__ import annotations
@@ -58,15 +58,17 @@ def same_but_floats(x, y) -> bool:
 
 def run_pool(work: str) -> list[dict]:
     """Child side: every operation of the manifest in work, in order, with
-    the IPM iterations it ran, counted by wrapping `sdp._ipm`."""
+    the Choi solves and IPM iterations it ran, counted by wrapping
+    `sdp._ipm`, which each solve runs once."""
     from matrange import _jsonutil, cli, sdp
 
-    iterations = 0
+    solves = iterations = 0
     ipm = sdp._ipm
 
     def counted(*args):
-        nonlocal iterations
+        nonlocal solves, iterations
         res = ipm(*args)
+        solves += 1
         iterations += res.iterations + 1
         return res
 
@@ -77,7 +79,7 @@ def run_pool(work: str) -> list[dict]:
     for round_no, ops in enumerate(manifest["rounds"]):
         for op in ops:
             paths = {k: os.path.join(work, v) for k, v in op["args"].items()}
-            iterations = 0
+            solves = iterations = 0
             rec = {"id": op["id"], "round": round_no}
             try:
                 code, report = cli.run(op["command"], paths, cli.RunConfig())
@@ -85,6 +87,7 @@ def run_pool(work: str) -> list[dict]:
                            text=_jsonutil.dumps(report))
             except Exception as exc:  # recorded and compared, not fatal
                 rec["error"] = f"{type(exc).__name__}: {exc}"
+            rec["choi_solves"] = solves
             rec["ipm_iterations"] = iterations
             out.append(rec)
     return out
@@ -159,8 +162,8 @@ def compare(workload: str, seed: int, base: str, change: str,
             print(f"{workload} seed {seed} op {b['id']} (round {b['round']}): "
                   + "; ".join(what))
     for name, records in runs.items():
-        summary[f"{name}_ipm_iterations"] = sum(r["ipm_iterations"]
-                                                for r in records)
+        for count in ("choi_solves", "ipm_iterations"):
+            summary[f"{name}_{count}"] = sum(r[count] for r in records)
         summary[f"{name}_raised"] = sum("error" in r for r in records)
         summary[f"{name}_check_failures"] = check_failures(records, manifest, work)
     print(json.dumps(summary))
