@@ -61,31 +61,26 @@ class RunConfig:
             raise ParseError("boundary policy must be in or marginal")
 
 
+def _load_json(path: str):
+    try:
+        with open(path, "r") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}") from exc
+
+
 def load_tuple(path: str) -> MatrixTuple:
     """Load and validate a tuple file; Hermitian structure is recomputed,
     never trusted from the file."""
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
-    return tuple_from_dict(doc)
+    return tuple_from_dict(_load_json(path))
 
 
 def load_polytope(path: str):
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
+    doc = _load_json(path)
     try:
         return polytope_from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:

@@ -29,10 +29,9 @@ from .errors import (
     NotSeparableError,
 )
 from .matcore import MatrixTuple, direct_sum_all, frob, herm_split
-from .sdp import RANK_TOL, BlockProgram, hermitian_basis, solve_feasibility
+from .sdp import RANK_TOL, BlockProgram, _basis_rows, solve_feasibility
 
 FEAS_TOL = 1e-7
-VALIDATE_TOL = 1e-6
 # A Choi solve ends on an Out verdict only once its certified bracket
 # [lo, hi] on t* is this narrow relative to |hi|, or at most feas_tol wide:
 # the first pencil that validates can be shallow (the level-2
@@ -72,6 +71,15 @@ class ChoiCertificate:
         n, m = self.map_dims
         c4 = self.choi.reshape(n, m, n, m)
         return np.einsum("ij,irjs->rs", np.asarray(x, dtype=complex), c4)
+
+    def compose(self, inner: "ChoiCertificate") -> "ChoiCertificate":
+        """Choi of self after inner: (self o inner)(E_ab) sums
+        inner(E_ab)[c, d] self(E_cd) over c, d."""
+        n, k = inner.map_dims
+        m = self.m_out
+        c4 = np.einsum("acbd,crds->arbs", inner.choi.reshape(n, k, n, k),
+                       self.choi.reshape(k, m, k, m))
+        return ChoiCertificate(choi=c4.reshape(n * m, n * m), map_dims=(n, m))
 
     def unitality_residual(self) -> float:
         return frob(self.apply(np.eye(self.n_in)) - np.eye(self.m_out))
@@ -282,7 +290,7 @@ def _choi_program(range_coords: np.ndarray, point_coords: np.ndarray,
     kept = list(frame.kept)
     shifted_range = [range_coords[j] - frame.center[j] * np.eye(n) for j in kept]
     shifted_point = [point_coords[j] - frame.center[j] * np.eye(m) for j in kept]
-    basis = np.stack(hermitian_basis(m))
+    basis = _basis_rows(m).reshape(-1, m, m)
     targets = np.stack([np.eye(m)] + shifted_point)
     return BlockProgram(
         F=np.stack([np.eye(n)] + [h.T for h in shifted_range]).astype(complex),
@@ -303,16 +311,9 @@ def _farkas_pencil(farkas_y: np.ndarray, frame: CoordinateFrame, m: int,
     and Q > 0 because the translated origin is interior; normalizing by
     Q^{-1/2} yields the lambda_max form.
     """
-    basis = hermitian_basis(m)
-    mm = m * m
-    z0 = sum(farkas_y[p] * basis[p] for p in range(mm))
-    zs = []
-    for r, _ in enumerate(frame.kept):
-        off = (r + 1) * mm
-        zs.append(sum(farkas_y[off + p] * basis[p] for p in range(mm)))
-
-    q = z0.conj()
-    zbar = [z.conj() for z in zs]
+    z = (farkas_y.reshape(-1, m * m) @ _basis_rows(m)).reshape(-1, m, m)
+    q = z[0].conj()
+    zbar = z[1:].conj()
     # regularize the joint kernel so Q is strictly positive definite
     evals, evecs = np.linalg.eigh((q + q.conj().T) / 2.0)
     qscale = max(float(evals[-1]), 1e-30)
@@ -380,15 +381,15 @@ def validate_witness(cert: ChoiCertificate, range_coords: np.ndarray,
 
 
 def validate_separator(pencil: Pencil, range_tuple: MatrixTuple,
-                       point: MatrixTuple, tol: float = VALIDATE_TOL
+                       point: MatrixTuple, feas_tol: float = FEAS_TOL
                        ) -> tuple[float, float]:
-    """Check lambda_max <= 1 + tol on the range and > 1 + FEAS_TOL at the
-    point, with the point above the range by more than FEAS_TOL times the
-    larger of 1 and the two values: a pencil near 1 on both separates
+    """Check lambda_max <= 1 + feas_tol on the range and > 1 + FEAS_TOL at
+    the point, with the point above the range by more than FEAS_TOL times
+    the larger of 1 and the two values: a pencil near 1 on both separates
     nothing."""
     on_range = pencil.max_eig(range_tuple)
     at_point = pencil.max_eig(point)
-    if on_range > 1.0 + tol:
+    if on_range > 1.0 + feas_tol:
         raise CertificateError(
             f"separator exceeds 1 on the range: lambda_max = {on_range}")
     if at_point <= 1.0 + FEAS_TOL:
@@ -496,7 +497,7 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
         vnorm = frob(viol)
         if vnorm > feas_tol * scale:
             pencil, violation = _relation_pencil(frame, alpha, beta, viol, point.n)
-            validate_separator(pencil, rng_t, point)
+            validate_separator(pencil, rng_t, point, feas_tol=feas_tol)
             return MembershipVerdict(status=OUT, margin=vnorm, separator=pencil,
                                      separator_violation=violation,
                                      detail={"relation_violation": vnorm})
@@ -523,7 +524,8 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
         if hi < -feas_tol and hi - lo <= width:
             pencil = _farkas_pencil(y, frame, m, hi)
             try:
-                _, at_point = validate_separator(pencil, rng_t, point)
+                _, at_point = validate_separator(pencil, rng_t, point,
+                                                 feas_tol=feas_tol)
             except CertificateError:
                 return None
             return MembershipVerdict(status=OUT, margin=-hi, separator=pencil,
@@ -563,16 +565,15 @@ def _membership_split_point(point, rng_t, point_coords, range_coords,
     zero padding.
     """
     dec = irreducible_decomposition(point, seed=7)
-    u = dec.unitary
-    pieces = []
-    offset = 0
+    witnesses = []
     worst = np.inf
-    for blk, mult in dec.blocks:
+    for blk, _ in dec.blocks:
         sub = membership(blk, rng_t, feas_tol=feas_tol, boundary=boundary,
                          split_point=False)
         if sub.is_out:
             lifted = _pad_pencil(sub.separator, point.n)
-            _, at_point = validate_separator(lifted, rng_t, point)
+            _, at_point = validate_separator(lifted, rng_t, point,
+                                             feas_tol=feas_tol)
             return MembershipVerdict(status=OUT, margin=sub.margin,
                                      separator=lifted,
                                      separator_violation=at_point - 1.0,
@@ -581,11 +582,9 @@ def _membership_split_point(point, rng_t, point_coords, range_coords,
             return MembershipVerdict(status=MARGINAL, margin=sub.margin,
                                      detail=sub.detail)
         worst = min(worst, sub.margin)
-        for _ in range(mult):
-            w = u[:, offset : offset + blk.n]
-            pieces.append((sub.witness, w))
-            offset += blk.n
-    cert = assemble_output_blocks(rng_t.n, point.n, pieces)
+        witnesses.append(sub.witness)
+    cert = assemble_output_blocks(rng_t.n, point.n,
+                                  [(witnesses[c], w) for c, w in dec.slots()])
     validate_witness(cert, range_coords, point_coords, feas_tol=feas_tol)
     return MembershipVerdict(status=IN, margin=worst, witness=cert,
                              detail={"witness_path": "point_split"})
@@ -643,7 +642,7 @@ def _expose(pencil, y, others, feas_tol) -> tuple[Pencil, float]:
     if eps <= feas_tol:
         raise NoGapError(f"exposing gap {eps} is below tolerance {feas_tol}")
     touch = scaled.max_eig(y)
-    if abs(touch - 1.0) > VALIDATE_TOL:
+    if abs(touch - 1.0) > feas_tol:
         raise CertificateError(f"exposing pencil touch value {touch} != 1")
     return scaled, eps
 
@@ -792,7 +791,7 @@ def wmax_membership(x: MatrixTuple, k: PolytopeBody, *,
     a, b, lam = worst[1]
     pencil = _halfspace_pencil(np.array(a), b, k)
     validate_separator(pencil, vertex_tuple(k) if k.vertices else _wmax_probe(k),
-                       x)
+                       x, feas_tol=feas_tol)
     return MembershipVerdict(status=OUT, margin=-margin, separator=pencil,
                              separator_violation=pencil.max_eig(x) - 1.0,
                              detail={"violated_halfspace": {"a": list(a), "b": b}})
@@ -806,18 +805,15 @@ def _wmax_probe(k: PolytopeBody) -> MatrixTuple:
 
 
 def _halfspace_pencil(a: np.ndarray, b: float, k: PolytopeBody) -> Pencil:
-    dim = len(a)
-    if b > 0:
-        coeffs = np.stack([np.array([[complex(aj / b)]]) for aj in a])
-        offset = np.zeros((1, 1), dtype=complex)
-    else:
-        c = _chebyshev_center(k)
-        bprime = b - float(a @ c)
-        if bprime <= 0:
-            raise CertificateError("halfspace does not contain the interior point")
-        coeffs = np.stack([np.array([[complex(aj / bprime)]]) for aj in a])
-        offset = np.array([[complex(-(a @ c) / bprime)]])
-    return Pencil(coeffs=coeffs, offset=offset, level=1, hermitian_input=True)
+    """a.x <= b as (a.x - a.c) / (b - a.c) <= 1 around an interior point c:
+    the origin when b > 0, else the Chebyshev centre of K."""
+    c = np.zeros(len(a)) if b > 0 else _chebyshev_center(k)
+    bprime = b - float(a @ c)
+    if bprime <= 0:
+        raise CertificateError("halfspace does not contain the interior point")
+    return Pencil(coeffs=(a / bprime).reshape(-1, 1, 1).astype(complex),
+                  offset=np.array([[complex(-(a @ c) / bprime)]]), level=1,
+                  hermitian_input=True)
 
 
 def _chebyshev_center(k: PolytopeBody) -> np.ndarray:

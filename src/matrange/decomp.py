@@ -219,6 +219,15 @@ class BlockDecomposition:
     def total_size(self) -> int:
         return sum(b.n * m for b, m in self.blocks)
 
+    def slots(self):
+        """(class index, columns of unitary) for every copy, in listed
+        order: the columns W with W* base W the class's block."""
+        offset = 0
+        for c, (blk, mult) in enumerate(self.blocks):
+            for _ in range(mult):
+                yield c, self.unitary[:, offset: offset + blk.n]
+                offset += blk.n
+
     def to_dict(self) -> dict:
         return {
             "unitary": _jsonutil.complex_rows(self.unitary),
@@ -294,7 +303,9 @@ def irreducible_decomposition(t: MatrixTuple, seed: int = 0,
     more from the same seeded generator; if the retry misses it too,
     DegenerateSpectrumError is raised.  The same error signals numerically
     coincident eigenvalues unresolved at decomp_tol (no eigenvalue split
-    found, or the eigenspace recursion exceeding n levels).
+    found, or the eigenspace recursion exceeding n levels).  Postcondition:
+    the classes are listed in non-decreasing canonical_key order, each
+    represented by the first of its leaves in that order.
     """
     rng = np.random.default_rng(seed)
     bound = _reassembly_bound(t, decomp_tol)
@@ -339,7 +350,8 @@ def _decompose_once(t: MatrixTuple, rng: np.random.Generator,
             work.append((v @ w, MatrixTuple(np.stack(
                 [w.conj().T @ m @ w for m in sub.mats])), depth + 1))
 
-    # group by unitary equivalence
+    # group by unitary equivalence; sorting the leaves first lists the
+    # classes in canonical order, which irreducible_decomposition promises
     finals.sort(key=lambda pair: canonical_key(pair[1]))
     classes: list[dict] = []
     marginal: list[tuple[int, int]] = []

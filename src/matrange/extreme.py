@@ -2,9 +2,11 @@
 
 A matrix tuple is minimal exactly when it is multiplicity-free and every
 irreducible summand is crucial: outside the matrix range generated by the
-other summands.  Each distinct summand is classified once, and redundant
-ones are absorbed one at a time.  Minimal presentations of the same range
-are unitarily equivalent; the unitary is recovered by intertwiners.
+other summands.  One pass classifies each distinct summand once, in
+canonical order, against the summands still kept and absorbs a redundant
+one at its turn; UCP maps compose, so its witness is carried onto the
+minimal tuple without another solve.  Minimal presentations of the same
+range are unitarily equivalent; the unitary is recovered by intertwiners.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .decomp import (
     EQUIV_TOL,
     BlockDecomposition,
     _intertwiner,
-    canonical_key,
     irreducible_decomposition,
     unitary_equivalent,  # unused here; bench/spans.py wraps it at this name
 )
@@ -145,38 +146,51 @@ def classify_crucial(index: int, summands: Sequence[MatrixTuple], *,
 def minimal_presentation(t: MatrixTuple, seed: int = 0, *,
                          feas_tol: float = FEAS_TOL,
                          boundary: str = BOUNDARY_IN) -> MinimalReport:
-    """Decompose, strip multiplicities, classify each distinct summand once
-    against the others and absorb the redundant ones one at a time, in
-    canonical order; finally verify that the matrix range was preserved by
-    validating mutual inclusion certificates.  A summand outside the range of all the others is outside
-    that of any subset, so its one verdict certifies it against the result."""
+    """Decompose, strip multiplicities and classify each distinct summand
+    once, in canonical order, against the summands still kept, absorbing it
+    at once when it lies in their range.  A summand outside the range of
+    the summands kept at its turn is outside that of any subset, so its one
+    verdict certifies it against the result.  Absorbed witnesses are
+    composed onto the minimal tuple, and the mutual inclusion of input and
+    minimal tuple is validated from those maps."""
     dec = irreducible_decomposition(t, seed=seed)
-    duplicates = [SummandReport(summand=blk, status=REDUNDANT_DUPLICATE)
-                  for blk, mult in dec.blocks for _ in range(mult - 1)]
+    blocks = [blk for blk, _ in dec.blocks]
 
-    blocks = sorted((blk for blk, _ in dec.blocks), key=canonical_key)
-    verdicts = [classify_crucial(i, blocks, feas_tol=feas_tol,
-                                 boundary=boundary)[1]
-                for i in range(len(blocks))]
-
-    # Drop the In summands in canonical order, not by margin: a certified
-    # margin is a bound from whichever iterate settled the verdict, and that
-    # iterate turns on rounding.  Once one is dropped, classify each later
-    # candidate again against the summands still kept: two near-equivalent
-    # summands each absorb the other, and only one may go.
+    # Absorb in canonical order, not by margin: a certified margin is a bound
+    # from whichever iterate settled the verdict, and that iterate turns on
+    # rounding.  Of two near-equivalent summands, each in the other's range,
+    # the first is absorbed and the second is classified without it.
     kept = list(range(len(blocks)))
-    absorbed: list[int] = []
-    for i in [i for i, v in enumerate(verdicts) if v.is_in]:
-        if absorbed:
-            verdicts[i] = classify_crucial(
-                kept.index(i), [blocks[k] for k in kept], feas_tol=feas_tol,
-                boundary=boundary)[1]
+    verdicts = []
+    sources: dict[int, list[int]] = {}  # absorbed: the summands it lies over
+    for i in range(len(blocks)):
+        verdicts.append(classify_crucial(
+            kept.index(i), [blocks[k] for k in kept], feas_tol=feas_tol,
+            boundary=boundary)[1])
         if verdicts[i].is_in:
             kept.remove(i)
-            absorbed.append(i)
+            sources[i] = list(kept)
+    minimal = direct_sum_all([blocks[k] for k in kept])
 
-    working = [blocks[k] for k in kept]
-    minimal = direct_sum_all(working)
+    # maps[i]: a UCP map from the minimal tuple onto summand i, a slot
+    # projection when kept; an absorbed witness runs from the summands
+    # kept at its turn, whose maps exist once the later absorptions have
+    # been composed
+    maps = dict(zip(kept, map(choi_of_compression,
+                              _slots([blocks[k].n for k in kept]))))
+    for i in reversed(sources):
+        sizes = [blocks[k].n for k in sources[i]]
+        inner = assemble_output_blocks(
+            minimal.n, sum(sizes),
+            list(zip([maps[k] for k in sources[i]], _slots(sizes))))
+        maps[i] = verdicts[i].witness.compose(inner)
+        try:
+            validate_witness(maps[i], minimal.mats, blocks[i].mats,
+                             feas_tol=feas_tol)
+        except CertificateError as exc:
+            raise IndeterminateError(
+                "absorbed summand's witness, composed onto the minimal "
+                f"tuple, fails validation: {exc}") from exc
 
     summand_reports: list[SummandReport] = []
     for k in kept:
@@ -189,86 +203,38 @@ def minimal_presentation(t: MatrixTuple, seed: int = 0, *,
         summand_reports.append(SummandReport(
             summand=blocks[k], status=CRUCIAL, exposing_gap=gap,
             separator=verdicts[k].separator, margin=verdicts[k].margin))
+    duplicates = [SummandReport(summand=blk, status=REDUNDANT_DUPLICATE)
+                  for blk, mult in dec.blocks for _ in range(mult - 1)]
+    absorbed = [SummandReport(summand=blocks[i], status=REDUNDANT_ABSORBED,
+                              witness=maps[i], margin=verdicts[i].margin)
+                for i in sources]
 
-    # only the last absorbed summand was classified against the minimal tuple
-    for k in absorbed[:-1]:
-        verdicts[k] = membership(blocks[k], minimal, feas_tol=feas_tol,
-                                 boundary=boundary)
-        if not verdicts[k].is_in:
-            raise IndeterminateError(
-                "absorbed summand failed re-certification against the "
-                "minimal tuple")
-    absorbed_reports = [SummandReport(
-        summand=blocks[k], status=REDUNDANT_ABSORBED,
-        witness=verdicts[k].witness, margin=verdicts[k].margin)
-        for k in absorbed]
-
-    verified, witnesses = _verify_range_preserved(
-        t, dec, working, absorbed_reports, minimal, feas_tol)
+    # W(input) <= W(minimal): the input reassembles from the maps of its
+    # slots.  W(minimal) <= W(input): the minimal tuple compresses the input
+    # onto the first copy of each kept class.
+    slots = list(dec.slots())
+    first = dict(reversed(slots))  # each class's first copy
+    witnesses = (assemble_output_blocks(minimal.n, t.n,
+                                        [(maps[c], w) for c, w in slots]),
+                 choi_of_compression(np.hstack([first[k] for k in kept])))
+    try:
+        validate_witness(witnesses[0], minimal.mats, t.mats, feas_tol=feas_tol)
+        validate_witness(witnesses[1], t.mats, minimal.mats, feas_tol=feas_tol)
+    except CertificateError:
+        witnesses = ()
 
     return MinimalReport(
         input=t, minimal=minimal,
-        summands=tuple(summand_reports + duplicates + absorbed_reports),
-        verified=verified, decomposition=dec, inclusion_witnesses=witnesses)
+        summands=tuple(summand_reports + duplicates + absorbed),
+        verified=bool(witnesses), decomposition=dec,
+        inclusion_witnesses=witnesses)
 
 
-def _verify_range_preserved(t, dec, working, absorbed_reports, minimal,
-                            feas_tol) -> tuple[bool, tuple]:
-    """Mutual-inclusion certificates between input and minimal.
-
-    W(minimal) <= W(input): the minimal tuple is a compression of the input
-    by the isometry selecting one slot per kept class.  W(input) <= W(minimal):
-    the input reassembles from per-slot UCP maps out of the minimal tuple,
-    projections for kept slots and absorption witnesses for removed ones.
-    Both certificates are validated by direct computation.
-    """
-    u = dec.unitary
-    n_min = minimal.n
-
-    offsets_min = {}
-    pos = 0
-    for blk in working:
-        offsets_min[canonical_key(blk)] = pos
-        pos += blk.n
-
-    absorbed_by_key = {canonical_key(r.summand): r for r in absorbed_reports}
-
-    pieces = []
-    sel_cols: list[np.ndarray] = []
-    taken = set()
-    offset = 0
-    ok = True
-    for blk, mult in dec.blocks:
-        key = canonical_key(blk)
-        for copy in range(mult):
-            cols = u[:, offset : offset + blk.n]
-            offset += blk.n
-            if key in offsets_min:
-                p = offsets_min[key]
-                proj = np.zeros((n_min, blk.n), dtype=complex)
-                proj[p : p + blk.n, :] = np.eye(blk.n)
-                pieces.append((choi_of_compression(proj), cols))
-                if key not in taken:
-                    taken.add(key)
-                    sel_cols.append(cols)
-            elif key in absorbed_by_key and absorbed_by_key[key].witness is not None:
-                pieces.append((absorbed_by_key[key].witness, cols))
-            else:
-                ok = False
-    if not ok or len(sel_cols) != len(working):
-        return False, ()
-
-    input_in_minimal = assemble_output_blocks(n_min, t.n, pieces)
-    v = np.hstack(sel_cols)
-    minimal_in_input = choi_of_compression(v)
-    try:
-        validate_witness(input_in_minimal, minimal.mats, t.mats,
-                         feas_tol=feas_tol)
-        validate_witness(minimal_in_input, t.mats, minimal.mats,
-                         feas_tol=feas_tol)
-    except CertificateError:
-        return False, ()
-    return True, (input_in_minimal, minimal_in_input)
+def _slots(sizes: list[int]) -> list[np.ndarray]:
+    """Isometries onto the consecutive slots of a direct sum of the sizes."""
+    eye = np.eye(sum(sizes), dtype=complex)
+    offsets = np.cumsum([0] + sizes)
+    return [eye[:, a:b] for a, b in zip(offsets, offsets[1:])]
 
 
 def is_fully_compressed(t: MatrixTuple, seed: int = 0, *,

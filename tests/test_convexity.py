@@ -84,6 +84,15 @@ def test_choi_apply_matches_compression(rng):
         np.testing.assert_allclose(cert.apply(x), v.conj().T @ x @ v, atol=1e-12)
 
 
+def test_composition_matches_the_choi_of_the_composed_compression(rng):
+    # X -> V2* (V1* X V1) V2 is the compression by V1 V2
+    v1, v2 = rand_isometry(4, 3, rng), rand_isometry(3, 2, rng)
+    composed = choi_of_compression(v2).compose(choi_of_compression(v1))
+    direct = choi_of_compression(v1 @ v2)
+    assert composed.map_dims == direct.map_dims == (4, 2)
+    np.testing.assert_allclose(composed.choi, direct.choi, atol=1e-14)
+
+
 # --- membership -------------------------------------------------------------
 
 def test_membership_compression_in(rng):
@@ -536,14 +545,15 @@ def test_witness_of_a_boundary_point_fails_past_it(eps):
 
 
 def test_validate_separator_needs_the_point_above_the_range():
-    # lambda_max 1 + 5e-7 on the range and 1 + 2e-7 at the point: within the
-    # range bound and past 1 + FEAS_TOL at the point, yet the point lies
-    # below the range, so the pencil separates nothing
+    # lambda_max 1 + 9e-8 on the range and 1 + 1.5e-7 at the point: within
+    # the range bound 1 + FEAS_TOL and past it at the point, yet the point
+    # lies less than FEAS_TOL above the range, so the pencil separates
+    # nothing
     pencil = Pencil(coeffs=np.ones((1, 1, 1), dtype=complex),
                     offset=np.zeros((1, 1), dtype=complex), level=1)
-    with pytest.raises(CertificateError):
-        validate_separator(pencil, MatrixTuple.scalar_point([1.0 + 5e-7]),
-                           MatrixTuple.scalar_point([1.0 + 2e-7]))
+    with pytest.raises(CertificateError, match="does not separate"):
+        validate_separator(pencil, MatrixTuple.scalar_point([1.0 + 9e-8]),
+                           MatrixTuple.scalar_point([1.0 + 1.5e-7]))
     on_range, at_point = validate_separator(
         pencil, MatrixTuple.scalar_point([1.0]), MatrixTuple.scalar_point([1.5]))
     assert (on_range, at_point) == (1.0, 1.5)

@@ -313,6 +313,27 @@ def test_decompose_recovers_planted_blocks(planted, seed):
     assert dec.reassembly_residual() <= decomp.DECOMP_TOL * max(1.0, frob(t.mats))
 
 
+def test_classes_come_out_in_canonical_order_and_slots_address_them(rng):
+    # a planted decomposition, its summands shuffled before the sum is
+    # conjugated: minimal_presentation walks the classes in listed order
+    # and relies on that order being canonical
+    planted = [(1, 2), (2, 1), (1, 1), (3, 1), (2, 2)]
+    blocks = [MatrixTuple.from_mats([rand_herm(n, rng) for _ in range(2)])
+              for n, _ in planted]
+    parts = [b for b, (_, mult) in zip(blocks, planted) for _ in range(mult)]
+    summed = direct_sum_all([parts[i] for i in rng.permutation(len(parts))])
+    t = conjugate(summed, rand_unitary(summed.n, rng))
+    dec = irreducible_decomposition(t, seed=3)
+    keys = [canonical_key(blk) for blk, _ in dec.blocks]
+    assert len(keys) == len(planted) and keys == sorted(keys)
+    slots = list(dec.slots())
+    assert [c for c, _ in slots] == [c for c, (_, m) in enumerate(dec.blocks)
+                                     for _ in range(m)]
+    for c, w in slots:
+        np.testing.assert_allclose(w.conj().T @ t.mats @ w,
+                                   dec.blocks[c][0].mats, atol=_tol(t))
+
+
 def test_dense_commutant_runs_only_on_leaves(monkeypatch):
     rng = np.random.default_rng(24)
     planted = [3, 2, 1, 1, 1]

@@ -185,7 +185,33 @@ def test_two_summands_absorbed_in_one_call(solves):
     assert [s.status for s in rep.removed] == [REDUNDANT_ABSORBED] * 2
     for s in rep.removed:
         validate_witness(s.witness, rep.minimal.mats, s.summand.mats)
-    assert solves[0] <= 7
+    assert solves[0] <= 5
+
+
+def test_edge_chain_composes_each_witness_onto_the_minimal_tuple(solves):
+    # (0.25, 0.25) is absorbed over a set holding (0.5, 0) and (0.5, 0.5),
+    # which are absorbed after it; each lies on an edge of the simplex
+    t = direct_sum_all(VERTS + [MatrixTuple.scalar_point(p) for p in
+                                ((0.5, 0.5), (0.25, 0.25), (0.5, 0.0))])
+    rep = minimal_presentation(t, seed=3)
+    assert rep.verified
+    assert len(rep.crucial) == 3
+    assert [s.status for s in rep.removed] == [REDUNDANT_ABSORBED] * 3
+    for s in rep.removed:
+        validate_witness(s.witness, rep.minimal.mats, s.summand.mats)
+    assert solves[0] <= 6
+
+
+def test_pauli_triple_and_its_transpose_are_both_kept_and_verified():
+    # equal canonical keys, yet not unitarily equivalent: the transpose map
+    # is not completely positive, so each lies outside the other's range
+    sy = np.array([[0, -1j], [1j, 0]])
+    triple = MatrixTuple.from_mats([SX, sy, SZ])
+    transpose = MatrixTuple.from_mats([SX, -sy, SZ])
+    assert canonical_key(triple) == canonical_key(transpose)
+    rep = minimal_presentation(direct_sum_all([triple, transpose]), seed=21)
+    assert [s.status for s in rep.summands] == [CRUCIAL, CRUCIAL]
+    assert rep.verified
 
 
 @pytest.mark.parametrize("far_point", [False, True])
