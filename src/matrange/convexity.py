@@ -454,8 +454,7 @@ def _fast_subblock_witness(point: MatrixTuple, rng_t: MatrixTuple,
 
 def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
                feas_tol: float = FEAS_TOL,
-               boundary: str = BOUNDARY_IN,
-               split_point: bool = True) -> MembershipVerdict:
+               boundary: str = BOUNDARY_IN) -> MembershipVerdict:
     """Is the point tuple in the matrix range of rng_t?
 
     In-verdicts carry a validated Choi witness, Out-verdicts a validated
@@ -502,7 +501,7 @@ def membership(point: MatrixTuple, rng_t: MatrixTuple, *,
                                      separator_violation=violation,
                                      detail={"relation_violation": vnorm})
 
-    if split_point and point.n > 1 and commutant_dim(point) > 1:
+    if point.n > 1 and commutant_dim(point) > 1:
         return _membership_split_point(point, rng_t, point_coords, range_coords,
                                        feas_tol, boundary)
 
@@ -565,11 +564,12 @@ def _membership_split_point(point, rng_t, point_coords, range_coords,
     zero padding.
     """
     dec = irreducible_decomposition(point, seed=7)
+    # leaves are irreducible at DECOMP_TOL, the tolerance commutant_dim uses,
+    # so membership does not split them again
     witnesses = []
     worst = np.inf
     for blk, _ in dec.blocks:
-        sub = membership(blk, rng_t, feas_tol=feas_tol, boundary=boundary,
-                         split_point=False)
+        sub = membership(blk, rng_t, feas_tol=feas_tol, boundary=boundary)
         if sub.is_out:
             lifted = _pad_pencil(sub.separator, point.n)
             _, at_point = validate_separator(lifted, rng_t, point,
@@ -700,16 +700,6 @@ class PolytopeBody:
         if not self.halfspaces:
             raise DimensionError("empty H-representation")
 
-    def vertex_flags(self) -> list[bool]:
-        """LP cross-check: flag points that are genuine hull vertices."""
-        self.require_vertices()
-        pts = np.array(self.vertices)
-        flags = []
-        for i in range(len(pts)):
-            others = np.delete(pts, i, axis=0)
-            flags.append(not _in_hull(pts[i], others))
-        return flags
-
     def to_dict(self) -> dict:
         doc: dict = {"dim": self.dim}
         if self.vertices:
@@ -726,20 +716,6 @@ def polytope_from_dict(doc: dict) -> PolytopeBody:
         halfspaces=tuple((tuple(h["a"]), float(h["b"]))
                          for h in doc.get("halfspaces", [])),
     )
-
-
-def _in_hull(point: np.ndarray, pts: np.ndarray, tol: float = 1e-9) -> bool:
-    # imported here: only the polytope commands reach a linear program, and
-    # nothing else needs scipy, which loads a second BLAS library
-    from scipy.optimize import linprog
-
-    if len(pts) == 0:
-        return False
-    a_eq = np.vstack([pts.T, np.ones(len(pts))])
-    b_eq = np.concatenate([point, [1.0]])
-    res = linprog(c=np.zeros(len(pts)), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * len(pts), method="highs")
-    return bool(res.status == 0)
 
 
 def vertex_tuple(k: PolytopeBody) -> MatrixTuple:
@@ -817,10 +793,12 @@ def _halfspace_pencil(a: np.ndarray, b: float, k: PolytopeBody) -> Pencil:
 
 
 def _chebyshev_center(k: PolytopeBody) -> np.ndarray:
-    from scipy.optimize import linprog
-
     if k.vertices:
         return np.mean(np.array(k.vertices), axis=0)
+    # imported here: only a polytope without vertices reaches a linear
+    # program, and nothing else needs scipy, which loads a second BLAS library
+    from scipy.optimize import linprog
+
     k.require_halfspaces()
     a_ub = []
     b_ub = []
@@ -835,15 +813,3 @@ def _chebyshev_center(k: PolytopeBody) -> np.ndarray:
     if res.status != 0:
         raise CertificateError("could not locate an interior point of K")
     return res.x[: k.dim]
-
-
-def hull_vertices(k: PolytopeBody) -> list[tuple]:
-    """Distinct genuine hull vertices of K, in canonical (sorted) order."""
-    k.require_vertices()
-    pts = []
-    for v in k.vertices:
-        if not any(np.allclose(v, w, atol=1e-12) for w in pts):
-            pts.append(v)
-    body = PolytopeBody(dim=k.dim, vertices=tuple(pts))
-    flags = body.vertex_flags()
-    return sorted(v for v, keep in zip(body.vertices, flags) if keep)

@@ -27,7 +27,6 @@ from .convexity import (
     assemble_output_blocks,
     choi_of_compression,
     exposing_pencil,  # unused here; bench/spans.py wraps it at this name
-    hull_vertices,
     membership,
     validate_witness,
     vertex_tuple,
@@ -340,11 +339,17 @@ def _raise_not_equivalent(blocks_s, blocks_t, s: MatrixTuple, t: MatrixTuple,
 
 
 def wmin_minimal_tuple(k: PolytopeBody) -> tuple[MatrixTuple, list]:
-    """The fully compressed tuple for Wmin(K): the diagonal tuple over the
-    distinct genuine vertices of K."""
-    k.require_vertices()
-    verts = hull_vertices(k)
-    if not verts:
-        raise DimensionError("polytope has no vertices after filtering")
-    body = PolytopeBody(dim=k.dim, vertices=tuple(verts))
-    return vertex_tuple(body), verts
+    """The fully compressed tuple for Wmin(K) and the extreme points of K.
+
+    The crucial summands of the vertex tuple's minimal presentation are the
+    extreme points; each is returned as the input vertex nearest to it,
+    sorted, with the diagonal tuple over them.  An unverified presentation
+    raises IndeterminateError, as does a Marginal classification."""
+    report = minimal_presentation(vertex_tuple(k))
+    if not report.verified:
+        raise IndeterminateError(
+            "the vertex tuple's minimal presentation is not verified")
+    verts = sorted(min(k.vertices, key=lambda v: np.linalg.norm(
+                       np.subtract(v, s.mats[:, 0, 0].real)))
+                   for s in report.crucial)
+    return vertex_tuple(PolytopeBody(dim=k.dim, vertices=tuple(verts))), verts

@@ -321,9 +321,9 @@ def test_member_verdict_does_not_depend_on_blas_threads(tmp_path, push, code):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the polytope commands need scipy, for scipy.optimize's linear
-    # programs, so they import it when they need it; scipy would also load
-    # a second BLAS library into the process
+    # only wmax on a polytope without vertices needs scipy, for
+    # scipy.optimize's linear program, so it imports it when it needs it;
+    # scipy would also load a second BLAS library into the process
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, matrange.cli; "
@@ -331,6 +331,32 @@ def test_cli_import_leaves_out_scipy_optimize():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_polytope_commands_leave_out_scipy_on_a_vertex_polytope(tmp_path):
+    # a polytope stored with vertices needs no linear program: wmin decides
+    # through the vertex tuple, and wmax takes the vertex mean as the
+    # interior point of a face with b <= 0
+    box = write_polytope(tmp_path / "box.json", {
+        "dim": 2,
+        "vertices": [[2.0, 1.0], [2.0, 2.0], [3.0, 1.0], [3.0, 2.0]],
+        "halfspaces": [{"a": [1.0, 0.0], "b": 3.0}, {"a": [-1.0, 0.0], "b": -2.0},
+                       {"a": [0.0, 1.0], "b": 2.0}, {"a": [0.0, -1.0], "b": -1.0}]})
+    point = write_tuple(tmp_path / "point.json",
+                        MatrixTuple.scalar_point([1.5, 1.5]))
+    for command in ("wmin", "wmax"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, matrange.cli; "
+             "code = matrange.cli.main(sys.argv[1:]); "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'), file=sys.stderr); "
+             "sys.exit(code)",
+             command, "--point", point, "--polytope", box],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_NO, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "out"
+        assert proc.stderr.strip() == "[]"
 
 
 def _complex(re, im):

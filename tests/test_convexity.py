@@ -12,7 +12,6 @@ from matrange.convexity import (
     build_frame,
     choi_of_compression,
     exposing_pencil,
-    hull_vertices,
     inclusion,
     membership,
     polytope_from_dict,
@@ -729,14 +728,6 @@ def test_vertex_tuple_simplex():
     t = vertex_tuple(k)
     assert t.n == 3 and t.d == 2
     assert np.allclose(np.diag(t.mats[0]).real, [0, 0, 1])
-
-
-def test_polytope_vertex_flags():
-    k = PolytopeBody(dim=2, vertices=((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0),
-                                      (-1.0, -1.0), (0.0, 0.0)))
-    flags = k.vertex_flags()
-    assert flags == [True, True, True, True, False]
-    assert hull_vertices(k) == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
 
 
 def test_polytope_round_trip():

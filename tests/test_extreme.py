@@ -10,7 +10,9 @@ from matrange.convexity import (
     PolytopeBody,
     exposing_pencil,
     membership,
+    validate_separator,
     validate_witness,
+    vertex_tuple,
 )
 from matrange.decomp import canonical_key
 from matrange.errors import (
@@ -331,7 +333,43 @@ def test_wmin_minimal_tuple_drops_interior():
                                       (-1.0, -1.0), (0.0, 0.0)))
     t, verts = wmin_minimal_tuple(k)
     assert t.n == 4
-    assert (0.0, 0.0) not in verts
+    assert verts == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+
+
+def test_wmin_minimal_tuple_keeps_a_near_duplicate_vertex():
+    # (1000, 0) lies on the edge from the origin to the vertex (1000.009, 0),
+    # within a relative 1e-5 of it
+    far = (1000.009, 0.0)
+    k = PolytopeBody(dim=2, vertices=((0.0, 0.0), (1000.0, 0.0), far,
+                                      (0.0, 1.0)))
+    t, verts = wmin_minimal_tuple(k)
+    assert verts == [(0.0, 0.0), (0.0, 1.0), far]
+    assert membership(MatrixTuple.scalar_point(far), t).is_in
+
+
+def test_wmin_minimal_tuple_returns_the_input_coordinates_of_a_duplicate():
+    k = PolytopeBody(dim=2, vertices=((1.0, 0.0), (0.0, 0.0), (1.0, 0.0),
+                                      (0.0, 1.0)))
+    t, verts = wmin_minimal_tuple(k)
+    assert verts == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+    assert np.array_equal(t.mats, vertex_tuple(PolytopeBody(
+        dim=2, vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))).mats)
+
+
+def test_square_vertices_are_certified_crucial_and_its_centre_absorbed():
+    k = PolytopeBody(dim=2, vertices=((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0),
+                                      (-1.0, -1.0), (0.0, 0.0)))
+    rep = minimal_presentation(vertex_tuple(k))
+    assert rep.verified
+    crucial = [s for s in rep.summands if s.status == CRUCIAL]
+    assert len(crucial) == 4
+    for s in crucial:
+        others = direct_sum_all([o.summand for o in crucial if o is not s])
+        validate_separator(s.separator, others, s.summand)
+    (centre,) = rep.removed
+    assert centre.status == REDUNDANT_ABSORBED
+    assert np.allclose(centre.summand.mats, 0.0)
+    validate_witness(centre.witness, rep.minimal.mats, centre.summand.mats)
 
 
 def test_wmin_minimal_tuple_single_point():
